@@ -17,10 +17,16 @@ def _accuracy(record):
     return record.test_accuracy if hasattr(record, "test_accuracy") else float(record)
 
 
-def rounds_to_accuracy(records, threshold):
-    """1-based index of the first round reaching the threshold, or None."""
+def check_threshold(threshold):
+    """An accuracy threshold, which must lie in (0, 1)."""
     if not (0 < threshold < 1):
         raise ConfigError(f"threshold must be in (0, 1), got {threshold}")
+    return threshold
+
+
+def rounds_to_accuracy(records, threshold):
+    """1-based index of the first round reaching the threshold, or None."""
+    check_threshold(threshold)
     for i, rec in enumerate(records, start=1):
         if _accuracy(rec) >= threshold:
             return getattr(rec, "round", i)

@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .analysis import converged_accuracy, rounds_to_accuracy
+from .analysis import check_threshold, converged_accuracy, rounds_to_accuracy
 from .data import load_cifar10, load_idx
 from .errors import ConfigError, DivergenceError, IngestionError
 from .nn import Network, baseline_cnn
@@ -172,6 +172,24 @@ def merge_options(args):
     return merged
 
 
+def _parse_seeds(raw):
+    try:
+        seeds = [int(s) for s in str(raw).split(",") if s.strip()]
+    except ValueError:
+        raise ConfigError(f"seeds must be integers, got {raw!r}") from None
+    if not seeds:
+        raise ConfigError("no seed given")
+    return seeds
+
+
+def _parse_thresholds(raw):
+    try:
+        thresholds = [float(t) for t in str(raw).split(",") if t.strip()]
+    except ValueError:
+        raise ConfigError(f"thresholds must be numbers, got {raw!r}") from None
+    return [check_threshold(t) for t in thresholds]
+
+
 def _write_json(path, payload):
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
@@ -215,7 +233,7 @@ def run_single(opts, seed, train, test):
 
         run_experiment(cfg, train, test, net=net, on_round=on_round)
 
-    thresholds = [float(t) for t in str(opts["thresholds"]).split(",") if t]
+    thresholds = _parse_thresholds(opts["thresholds"])
     summary = {
         "variant": opts["variant"],
         "alpha": opts["alpha"],
@@ -267,8 +285,10 @@ def run_single(opts, seed, train, test):
 def cmd_run(args):
     opts = merge_options(args)
     try:
+        seeds = _parse_seeds(opts["seed"])
+        _parse_thresholds(opts["thresholds"])
         train, test = load_dataset(opts["dataset"], opts["data_dir"])
-    except (IngestionError, OSError) as exc:
+    except (ConfigError, IngestionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if opts["limit_train"]:
@@ -276,7 +296,6 @@ def cmd_run(args):
     if opts["limit_test"]:
         test = test.subset(np.arange(min(opts["limit_test"], len(test))))
 
-    seeds = [int(s) for s in str(opts["seed"]).split(",") if s]
     for seed in seeds:
         try:
             run_dir = run_single(opts, seed, train, test)
@@ -299,10 +318,15 @@ def _median_rounds(summaries, threshold):
 
 
 def cmd_compare(args):
-    summaries = []
-    for path in args.summaries:
-        with open(path) as f:
-            summaries.append(json.load(f))
+    try:
+        thresholds = _parse_thresholds(args.thresholds)
+        summaries = []
+        for path in args.summaries:
+            with open(path) as f:
+                summaries.append(json.load(f))
+    except (OSError, ValueError) as exc:  # ConfigError and bad JSON are ValueErrors
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if len(summaries) < 2:
         print("error: need at least two summaries", file=sys.stderr)
         return 2
@@ -317,7 +341,6 @@ def cmd_compare(args):
                   f"{args.summaries[0]}: {diff}", file=sys.stderr)
             return 2
 
-    thresholds = [float(t) for t in args.thresholds.split(",") if t]
     by_variant = {}
     for summary in summaries:
         by_variant.setdefault(summary["variant"], []).append(summary)

@@ -176,12 +176,21 @@ class Network:
             if isinstance(layer, Conv):
                 w, b = arrays[i], arrays[i + 1]
                 i += 2
-                win = sliding_window_view(a, (layer.kernel, layer.kernel), axis=(2, 3))
-                z = np.einsum("bcijuv,fcuv->bfij", win, w, optimize=True)
+                k = layer.kernel
+                nb, _, h, w_ = a.shape
+                ho, wo = h - k + 1, w_ - k + 1
+                # im2col: (b, c*k*k, ho*wo) windows, one GEMM against (f, c*k*k)
+                cols = (
+                    sliding_window_view(a, (k, k), axis=(2, 3))
+                    .transpose(0, 1, 4, 5, 2, 3)
+                    .reshape(nb, -1, ho * wo)
+                )
+                z = (w.reshape(w.shape[0], -1) @ cols).reshape(nb, -1, ho, wo)
                 z += b[None, :, None, None]
                 out = np.maximum(z, 0) if layer.relu else z
                 if keep:
-                    caches.append(("conv", layer, win, w, z, a.shape))
+                    caches.append(("conv", layer, cols, w, z, a.shape))
+                del cols  # free the window copy before the next layer makes its own
                 a = out
             elif isinstance(layer, Pool):
                 nb, c, h, w_ = a.shape
@@ -212,59 +221,101 @@ class Network:
     def loss_and_grad(self, params, batch, penalty=None):
         """Mean cross-entropy (plus optional penalty) and its flat gradient."""
         logits, caches = self._forward(params, batch.inputs, keep=True)
-        labels = np.asarray(batch.labels)
+        logp, d = _nll_and_grad(logits, np.asarray(batch.labels))
         nb = logits.shape[0]
-        rows = np.arange(nb)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        loss = float(-logp[rows, labels].mean())
-
-        d = np.exp(logp)
-        d[rows, labels] -= 1
+        loss = float(-logp.mean())
         d /= nb
-        d = d.astype(self.dtype, copy=False)
-
-        grads = []
-        for kind, layer, *cache in reversed(caches):
-            if kind == "dense":
-                a_in, w, z, orig_shape = cache
-                if layer.relu:
-                    d = d * (z > 0)
-                grads.append(d.sum(axis=0))  # bias
-                grads.append(d.T @ a_in)  # weight
-                d = d @ w
-                if len(orig_shape) > 2:
-                    d = d.reshape(orig_shape)
-            elif kind == "pool":
-                idx, in_shape = cache
-                nb_, c, h, w_ = in_shape
-                ho, wo = h // 2, w_ // 2
-                dr = np.zeros((nb_, c, ho, wo, 4), dtype=self.dtype)
-                np.put_along_axis(dr, idx[..., None], d[..., None], axis=-1)
-                d = (
-                    dr.reshape(nb_, c, ho, wo, 2, 2)
-                    .transpose(0, 1, 2, 4, 3, 5)
-                    .reshape(in_shape)
-                )
-            else:  # conv
-                win, w, z, in_shape = cache
-                if layer.relu:
-                    d = d * (z > 0)
-                grads.append(d.sum(axis=(0, 2, 3)))  # bias
-                grads.append(np.einsum("bcijuv,bfij->fcuv", win, d, optimize=True))
-                dx = np.zeros(in_shape, dtype=self.dtype)
-                k = layer.kernel
-                ho, wo = d.shape[2], d.shape[3]
-                for u in range(k):
-                    for v in range(k):
-                        dx[:, :, u:u + ho, v:v + wo] += np.einsum(
-                            "bfij,fc->bcij", d, w[:, :, u, v]
-                        )
-                d = dx
-        grads.reverse()
+        grads = self._backward(d.astype(self.dtype, copy=False), caches, square=False)
         grad = np.concatenate([g.ravel() for g in grads]).astype(self.dtype, copy=False)
 
         if penalty is not None:
             loss = loss + penalty.value(params)
             grad = grad + penalty.grad(params)
         return loss, grad
+
+    def squared_grad_sum(self, params, batch):
+        """Sum over the batch of each example's squared cross-entropy gradient.
+
+        Flat float64 vector; divided by the batch size it is the empirical
+        Fisher diagonal of the batch. One forward and one backward pass for
+        the whole batch, through the same layer backward as `loss_and_grad`.
+        """
+        logits, caches = self._forward(params, batch.inputs, keep=True)
+        _, d = _nll_and_grad(logits, np.asarray(batch.labels))
+        grads = self._backward(d, caches, square=True)
+        return np.concatenate([g.ravel() for g in grads])
+
+    def _backward(self, d, caches, square):
+        """Parameter gradients in flat order, given the logit gradient `d`.
+
+        square=False sums each gradient over the batch. square=True returns,
+        in float64, the batch sum of every example's squared gradient
+        (dense: (d**2).T @ (a**2), Goodfellow 2015; conv: per-example im2col
+        matmuls). The first layer's input gradient is never computed.
+        """
+        grads = []
+        for pos in range(len(caches) - 1, -1, -1):
+            kind, layer, *cache = caches[pos]
+            need_dx = pos > 0
+            if kind == "dense":
+                a_in, w, z, orig_shape = cache
+                if layer.relu:
+                    d = d * (z > 0)
+                grads.append(_reduce_batch(d, square))  # bias
+                if square:  # exact: (d_b a_b^T)**2 = d_b**2 (a_b**2)^T
+                    grads.append(np.square(d, dtype=np.float64).T
+                                 @ np.square(a_in, dtype=np.float64))
+                else:
+                    grads.append(d.T @ a_in)
+                if need_dx:
+                    d = (d @ w).reshape(orig_shape)
+            elif kind == "pool":
+                if not need_dx:
+                    continue
+                idx, in_shape = cache
+                nb, c, h, w_ = in_shape
+                dr = np.zeros((nb, c, h // 2, w_ // 2, 4), dtype=self.dtype)
+                np.put_along_axis(dr, idx[..., None], d[..., None], axis=-1)
+                d = (
+                    dr.reshape(nb, c, h // 2, w_ // 2, 2, 2)
+                    .transpose(0, 1, 2, 4, 3, 5)
+                    .reshape(in_shape)
+                )
+            else:  # conv
+                cols, w, z, in_shape = cache
+                if layer.relu:
+                    d = d * (z > 0)
+                nb, f, ho, wo = d.shape
+                k = layer.kernel
+                dm = d.reshape(nb, f, ho * wo)
+                grads.append(_reduce_batch(dm.sum(axis=2), square))  # bias
+                # per-example weight gradients, (b, f, ho*wo) @ (b, ho*wo, c*k*k)
+                g = dm @ cols.transpose(0, 2, 1)
+                grads.append(_reduce_batch(g, square).reshape(w.shape))
+                if need_dx:
+                    # col2im: one GEMM to (c, k, k, b, ho, wo), then k*k
+                    # shifted slice-adds into the (c, b, h, w) view of dx
+                    dcols = np.tensordot(w, d, axes=([0], [1]))
+                    dx = np.zeros(in_shape, dtype=self.dtype)
+                    dxt = dx.transpose(1, 0, 2, 3)
+                    for u in range(k):
+                        for v in range(k):
+                            dxt[:, :, u:u + ho, v:v + wo] += dcols[:, u, v]
+                    d = dx
+        grads.reverse()
+        return grads
+
+
+def _reduce_batch(g, square):
+    """Sum of the per-example gradients g[b], or float64 sum of their squares."""
+    return np.square(g, dtype=np.float64).sum(axis=0) if square else g.sum(axis=0)
+
+
+def _nll_and_grad(logits, labels):
+    """Per-example negative log-likelihood of `labels` and its logit gradient."""
+    rows = np.arange(logits.shape[0])
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    d = np.exp(logp)
+    d[rows, labels] -= 1
+    return logp[rows, labels], d

@@ -127,9 +127,11 @@ def local_train(net, global_params, ds, shard, penalty, epochs, batch_size, lr,
 
 def evaluate(net, params, ds, batch_size=256):
     """(accuracy, mean cross-entropy) over a dataset."""
+    n = len(ds)
+    if n == 0:
+        raise ConfigError("evaluation needs a non-empty dataset")
     correct = 0
     loss_sum = 0.0
-    n = len(ds)
     for start in range(0, n, batch_size):
         x = ds.images[start:start + batch_size]
         y = ds.labels[start:start + batch_size]

@@ -40,6 +40,13 @@ GRADCHECK_SPECS = (
     ModelSpec((2, 5, 5), (Conv(3, kernel=2), Dense(3), Dense(2, relu=False))),
 )
 
+# a conv that is not the first layer, so its input gradient is exercised;
+# kept out of GRADCHECK_SPECS so that the cases existing seeds draw stay put
+STACKED_CONV_SPECS = (
+    ModelSpec((1, 8, 8), (Conv(2, kernel=3), Pool(), Conv(2, kernel=2),
+                          Dense(3, relu=False))),
+)
+
 
 def finite_difference_grad(net, params, batch, penalty, h=1e-3):
     fd = np.zeros_like(params)
@@ -86,7 +93,7 @@ def kink_margin(net, params, batch):
     return margin
 
 
-def gradcheck_case(case_seed, h=1e-3):
+def gradcheck_case(case_seed, h=1e-3, specs=GRADCHECK_SPECS):
     """One random (net, params, batch, penalty) tuple for oracle comparison.
 
     Draws are rejected while any relu/pooling unit is closer than a few step
@@ -94,7 +101,7 @@ def gradcheck_case(case_seed, h=1e-3):
     """
     for attempt in range(100):
         rng = np.random.default_rng((case_seed, attempt))
-        spec = GRADCHECK_SPECS[int(rng.integers(len(GRADCHECK_SPECS)))]
+        spec = specs[int(rng.integers(len(specs)))]
         net = Network(spec, dtype=np.float64)
         assert net.n_params <= 200
         params = rng.normal(0, 0.5, net.n_params)

@@ -163,3 +163,30 @@ def test_compare_refuses_mismatched_configs(tmp_path, capsys):
     b = _write_summary(tmp_path / "b.json", "fedprox-te", [0.9], rounds=999)
     assert main(["compare", a, b]) == 2
     assert "not config-compatible" in capsys.readouterr().err
+
+
+def test_run_empty_seed_list_is_an_error(data_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(data_dir, out, "--variant", "fedavg", "--seed", "") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert not out.exists()
+
+
+def test_compare_rejects_threshold_before_any_output(tmp_path, capsys):
+    a = _write_summary(tmp_path / "a.json", "fedprox", [0.9])
+    b = _write_summary(tmp_path / "b.json", "fedprox-te", [0.9])
+    assert main(["compare", a, b, "--thresholds", "1.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_compare_missing_summary_is_an_error(tmp_path, capsys):
+    a = _write_summary(tmp_path / "a.json", "fedprox", [0.9])
+    missing = str(tmp_path / "missing.json")
+    assert main(["compare", a, missing]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "missing.json" in captured.err

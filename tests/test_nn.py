@@ -16,6 +16,7 @@ from fedte.nn import (
 from fedte.penalties import Prox
 
 from conftest import (
+    STACKED_CONV_SPECS,
     assert_grad_close,
     finite_difference_grad,
     gradcheck_case,
@@ -110,6 +111,15 @@ def test_toy_gradient_matches_finite_differences():
 @pytest.mark.parametrize("case_seed", range(20))
 def test_random_network_gradients(case_seed):
     net, params, batch, penalty = gradcheck_case(case_seed)
+    _, grad = net.loss_and_grad(params, batch, penalty)
+    fd = finite_difference_grad(net, params, batch, penalty)
+    assert_grad_close(grad, fd)
+
+
+@pytest.mark.parametrize("case_seed", range(8))
+def test_stacked_conv_input_gradient(case_seed):
+    net, params, batch, penalty = gradcheck_case(case_seed, specs=STACKED_CONV_SPECS)
+    assert net.n_params < 200
     _, grad = net.loss_and_grad(params, batch, penalty)
     fd = finite_difference_grad(net, params, batch, penalty)
     assert_grad_close(grad, fd)

@@ -7,6 +7,7 @@ from fedte.nn import Network
 from fedte.orchestrator import (
     AlgorithmVariant,
     aggregate,
+    evaluate,
     local_train,
     run_experiment,
     select_clients,
@@ -192,3 +193,9 @@ def test_variants_share_client_selection():
         tiny_cfg(make_variant("fedprox", alpha=1.0)), train, test, net=net
     )
     assert [r.selected for r in a] == [r.selected for r in b]
+
+
+def test_evaluate_empty_dataset_raises():
+    net = Network(tiny_spec())
+    with pytest.raises(ConfigError):
+        evaluate(net, net.init_params(0), synth_dataset(0, 0))

@@ -3,10 +3,37 @@ import pytest
 
 from fedte.data import Dataset
 from fedte.errors import ConfigError
-from fedte.nn import Dense, ModelSpec, Network
+from fedte.nn import Batch, Dense, ModelSpec, Network, baseline_cnn
 from fedte.penalties import FisherDiag, Prox, fisher_diag
 
-from conftest import synth_dataset, tiny_spec
+from conftest import GRADCHECK_SPECS, STACKED_CONV_SPECS, synth_dataset, tiny_spec
+
+
+def loop_fisher_diag(net, params, ds, max_samples, seed):
+    """Reference Fisher: one single-example backward pass per example.
+
+    Same subsampling and ascending order as `fisher_diag`; squares each
+    example's flat gradient and accumulates in float64.
+    """
+    n = len(ds)
+    if n > max_samples:
+        idx = np.sort(np.random.default_rng(seed).choice(n, size=max_samples,
+                                                         replace=False))
+    else:
+        idx = np.arange(n)
+    acc = np.zeros(net.n_params, dtype=np.float64)
+    for i in idx:
+        _, grad = net.loss_and_grad(
+            params, Batch(ds.images[i:i + 1], ds.labels[i:i + 1])
+        )
+        acc += grad.astype(np.float64) ** 2
+    return (acc / idx.size).astype(params.dtype)
+
+
+def assert_fisher_close(batched, loop, rtol=1e-5):
+    assert batched.dtype == loop.dtype
+    err = np.abs(batched.astype(np.float64) - loop).max()
+    assert err <= rtol * np.abs(loop).max(), f"fisher error {err}"
 
 
 def rand_vec(n, seed):
@@ -124,3 +151,30 @@ def test_fisher_subsampling_deterministic():
     c = fisher_diag(net, params, ds, max_samples=10, seed=8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# 1, 63, 64, 65 and 256 examples fall on both sides of the 64-example chunks
+@pytest.mark.parametrize("samples", [1, 63, 64, 65, 256])
+@pytest.mark.parametrize("shape", [(1, 28, 28), (3, 32, 32)])
+def test_fisher_matches_loop_oracle_baseline_cnn(shape, samples):
+    net = Network(baseline_cnn(shape))
+    params = net.init_params(samples)
+    ds = synth_dataset(300, samples, shape=shape)
+    assert_fisher_close(
+        fisher_diag(net, params, ds, max_samples=samples, seed=4),
+        loop_fisher_diag(net, params, ds, max_samples=samples, seed=4),
+    )
+
+
+@pytest.mark.parametrize("spec", GRADCHECK_SPECS + STACKED_CONV_SPECS)
+def test_fisher_matches_loop_oracle_small_specs(spec):
+    net = Network(spec, dtype=np.float64)
+    rng = np.random.default_rng(9)
+    params = rng.normal(0, 0.5, net.n_params)
+    n = 130
+    ds = Dataset(rng.random((n, *spec.input_shape)).astype(np.float32),
+                 rng.integers(0, net.output_dim, n), n_classes=net.output_dim)
+    assert_fisher_close(
+        fisher_diag(net, params, ds, max_samples=n, seed=0),
+        loop_fisher_diag(net, params, ds, max_samples=n, seed=0),
+    )
