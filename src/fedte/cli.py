@@ -56,6 +56,7 @@ FAMILY_KEYS = (
     "dataset", "gamma", "clients", "ratio", "epochs", "batch", "rounds",
     "lr", "lr_decay", "proxy_fraction", "limit_train", "limit_test",
 )
+SUMMARY_KEYS = ("variant", "seed", "accuracy", "converged_accuracy")
 
 
 def parse_config_file(path):
@@ -317,14 +318,28 @@ def _median_rounds(summaries, threshold):
     return statistics.median(rounds)
 
 
+def _load_summary(path):
+    """A summary.json holding every key `compare` reads; ConfigError if not."""
+    try:
+        with open(path) as f:
+            summary = json.load(f)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    config = summary.get("config") if isinstance(summary, dict) else None
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path}: not a summary with a 'config' object")
+    missing = [k for k in SUMMARY_KEYS if k not in summary]
+    missing += [f"config.{k}" for k in FAMILY_KEYS if k not in config]
+    if missing:
+        raise ConfigError(f"{path}: missing {', '.join(missing)}")
+    return summary
+
+
 def cmd_compare(args):
     try:
         thresholds = _parse_thresholds(args.thresholds)
-        summaries = []
-        for path in args.summaries:
-            with open(path) as f:
-                summaries.append(json.load(f))
-    except (OSError, ValueError) as exc:  # ConfigError and bad JSON are ValueErrors
+        summaries = [_load_summary(path) for path in args.summaries]
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if len(summaries) < 2:

@@ -90,20 +90,6 @@ def load_idx(images_path, labels_path):
     return Dataset(images, labels)
 
 
-def save_idx(ds, images_path, labels_path):
-    """Write a Dataset back to IDX files (pixels quantized to uint8)."""
-    n, c, h, w = ds.images.shape
-    if c != 1:
-        raise ConfigError("IDX format stores single-channel images")
-    pixels = np.rint(ds.images * 255.0).astype(np.uint8)
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, h, w))
-        f.write(pixels.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABELS_MAGIC, n))
-        f.write(ds.labels.astype(np.uint8).tobytes())
-
-
 def load_cifar10(batch_paths):
     """Read CIFAR-10 binary batch files (label byte + 3072 pixel bytes per record)."""
     images, labels = [], []

@@ -2,6 +2,7 @@
 
 Supports plain feed-forward stacks of valid (unpadded) convolutions, 2x2
 max-pooling and dense layers, trained with softmax cross-entropy and SGD.
+The pool is a strided-slice max; its backward breaks ties as argmax does.
 All parameters live in a single flat vector so that aggregation, penalty
 terms and constraint targets can treat a model as one array.
 
@@ -150,11 +151,6 @@ class Network:
             for i, s in enumerate(self._shapes)
         ]
 
-    def flatten(self, arrays):
-        return np.concatenate([np.asarray(a).ravel() for a in arrays]).astype(
-            self.dtype, copy=False
-        )
-
     # -- forward / backward ------------------------------------------------
 
     def forward(self, params, inputs):
@@ -193,17 +189,9 @@ class Network:
                 del cols  # free the window copy before the next layer makes its own
                 a = out
             elif isinstance(layer, Pool):
-                nb, c, h, w_ = a.shape
-                ho, wo = h // 2, w_ // 2
-                r = (
-                    a.reshape(nb, c, ho, 2, wo, 2)
-                    .transpose(0, 1, 2, 4, 3, 5)
-                    .reshape(nb, c, ho, wo, 4)
-                )
-                idx = r.argmax(axis=-1)
-                out = np.take_along_axis(r, idx[..., None], axis=-1)[..., 0]
+                out = _pool_forward(a)
                 if keep:
-                    caches.append(("pool", layer, idx, a.shape))
+                    caches.append(("pool", layer, a, out))
                 a = out
             elif isinstance(layer, Dense):
                 orig_shape = a.shape
@@ -269,19 +257,9 @@ class Network:
                     grads.append(d.T @ a_in)
                 if need_dx:
                     d = (d @ w).reshape(orig_shape)
-            elif kind == "pool":
-                if not need_dx:
-                    continue
-                idx, in_shape = cache
-                nb, c, h, w_ = in_shape
-                dr = np.zeros((nb, c, h // 2, w_ // 2, 4), dtype=self.dtype)
-                np.put_along_axis(dr, idx[..., None], d[..., None], axis=-1)
-                d = (
-                    dr.reshape(nb, c, h // 2, w_ // 2, 2, 2)
-                    .transpose(0, 1, 2, 4, 3, 5)
-                    .reshape(in_shape)
-                )
-            else:  # conv
+            elif kind == "pool" and need_dx:
+                d = _pool_backward(d, *cache)
+            elif kind == "conv":
                 cols, w, z, in_shape = cache
                 if layer.relu:
                     d = d * (z > 0)
@@ -311,11 +289,33 @@ def _reduce_batch(g, square):
     return np.square(g, dtype=np.float64).sum(axis=0) if square else g.sum(axis=0)
 
 
+def _pool_forward(a):
+    """2x2 stride-2 max-pool of (B, C, H, W) as a max over four strided slices."""
+    return np.maximum(np.maximum(a[:, :, 0::2, 0::2], a[:, :, 0::2, 1::2]),
+                      np.maximum(a[:, :, 1::2, 0::2], a[:, :, 1::2, 1::2]))
+
+
+def _pool_backward(d, a, out):
+    """Route each window's gradient to the first corner, in argmax order, at the max."""
+    dx = np.empty_like(a)
+    free = np.ones(out.shape, dtype=bool)
+    for u, v in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        hit = free & (a[:, :, u::2, v::2] == out)
+        np.multiply(d, hit, out=dx[:, :, u::2, v::2])  # d * 0 may be -0.0
+        free &= ~hit
+    return dx
+
+
+def log_softmax(logits):
+    """Row-wise log-softmax of (B, K) logits, shifted by the row max."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
 def _nll_and_grad(logits, labels):
     """Per-example negative log-likelihood of `labels` and its logit gradient."""
     rows = np.arange(logits.shape[0])
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    logp = log_softmax(logits)
     d = np.exp(logp)
     d[rows, labels] -= 1
     return logp[rows, labels], d

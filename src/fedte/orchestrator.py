@@ -13,7 +13,7 @@ import numpy as np
 from . import penalties
 from .data import PartitionConfig, dirichlet_partition, iterate_batches, split_proxy
 from .errors import ConfigError, DivergenceError
-from .nn import Network, baseline_cnn, lr_at_round, sgd_step
+from .nn import Network, baseline_cnn, log_softmax, lr_at_round, sgd_step
 from .target import TargetTracker
 
 VARIANT_KINDS = ("fedavg", "fedprox", "fedcl", "fedprox-te", "fedcl-te")
@@ -136,8 +136,7 @@ def evaluate(net, params, ds, batch_size=256):
         x = ds.images[start:start + batch_size]
         y = ds.labels[start:start + batch_size]
         logits = net.forward(params, x)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        logp = log_softmax(logits)
         loss_sum += float(-logp[np.arange(len(y)), y].sum())
         correct += int((logits.argmax(axis=1) == y).sum())
     return correct / n, loss_sum / n

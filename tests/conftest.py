@@ -1,9 +1,10 @@
 import os
+import struct
 
 import numpy as np
 import pytest
 
-from fedte.data import Dataset
+from fedte.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, Dataset
 from fedte.nn import Batch, Conv, Dense, ModelSpec, Network, Pool
 from fedte.orchestrator import AlgorithmVariant, FedConfig
 from fedte.penalties import FisherDiag, Prox
@@ -149,10 +150,21 @@ def records_equal(a, b):
     return True
 
 
+def save_idx(ds, images_path, labels_path):
+    """Write a single-channel Dataset as IDX files (pixels quantized to uint8)."""
+    n, c, h, w = ds.images.shape
+    assert c == 1, "IDX stores single-channel images"
+    pixels = np.rint(ds.images * 255.0).astype(np.uint8)
+    with open(images_path, "wb") as f:
+        f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, h, w))
+        f.write(pixels.tobytes())
+    with open(labels_path, "wb") as f:
+        f.write(struct.pack(">II", IDX_LABELS_MAGIC, n))
+        f.write(ds.labels.astype(np.uint8).tobytes())
+
+
 def write_idx_dataset(dir_path, n_train=400, n_test=100, side=16, seed=0):
     """MNIST-layout IDX files with a learnable synthetic signal."""
-    from fedte.data import save_idx
-
     os.makedirs(dir_path, exist_ok=True)
 
     def build(n, sub_seed):

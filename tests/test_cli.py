@@ -190,3 +190,23 @@ def test_compare_missing_summary_is_an_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "missing.json" in captured.err
+
+
+
+@pytest.mark.parametrize("bad", ["{}", "list", "variant", "seed", "accuracy", "config"])
+def test_compare_malformed_summary_is_an_error(tmp_path, capsys, bad):
+    good = _write_summary(tmp_path / "good.json", "fedprox", [0.9])
+    payload = json.loads((tmp_path / "good.json").read_text())
+    if bad == "{}":
+        payload = {}
+    elif bad == "list":
+        payload = [payload]
+    else:
+        del payload[bad]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    for paths in ([good, str(path)], [str(path), str(path)]):
+        assert main(["compare", *paths]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}:")

@@ -11,12 +11,11 @@ from fedte.data import (
     iterate_batches,
     load_cifar10,
     load_idx,
-    save_idx,
     split_proxy,
 )
 from fedte.errors import ConfigError, IngestionError
 
-from conftest import synth_dataset
+from conftest import save_idx, synth_dataset
 
 
 def write_idx_pair(tmp_path, images, labels, name="fixture"):

@@ -9,6 +9,8 @@ from fedte.nn import (
     ModelSpec,
     Network,
     Pool,
+    _pool_backward,
+    _pool_forward,
     baseline_cnn,
     lr_at_round,
     sgd_step,
@@ -71,7 +73,73 @@ def test_forward_shape_mismatch_raises():
 def test_flatten_unflatten_roundtrip():
     net = Network(tiny_spec())
     v = np.random.default_rng(3).normal(size=net.n_params).astype(np.float32)
-    assert np.array_equal(net.flatten(net.unflatten(v)), v)
+    assert np.array_equal(np.concatenate([a.ravel() for a in net.unflatten(v)]), v)
+
+
+def reference_pool(a, d):
+    """2x2 max-pool and its input gradient via argmax over each flattened window."""
+    nb, c, h, w = a.shape
+    r = (
+        a.reshape(nb, c, h // 2, 2, w // 2, 2)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(nb, c, h // 2, w // 2, 4)
+    )
+    idx = r.argmax(axis=-1)
+    out = np.take_along_axis(r, idx[..., None], axis=-1)[..., 0]
+    dr = np.zeros(r.shape, dtype=a.dtype)
+    np.put_along_axis(dr, idx[..., None], d[..., None], axis=-1)
+    dx = (
+        dr.reshape(nb, c, h // 2, w // 2, 2, 2)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(a.shape)
+    )
+    return out, dx
+
+
+def tied_pool_input(rng, shape, dtype, kind):
+    """Pool inputs whose windows tie: on few levels, at zero, or in 2-4 corners."""
+    if kind == "random":
+        return rng.normal(size=shape).astype(dtype)
+    if kind == "three_levels":
+        return rng.integers(0, 3, shape).astype(dtype) / 2
+    if kind == "relu_zeros":  # post-relu, most windows all zero
+        return np.maximum(rng.normal(-1.5, 1.0, shape), 0).astype(dtype)
+    # the top value of each window in exactly 2, 3 or 4 of its corners
+    nb, c, h, w = shape
+    windows = rng.uniform(0, 1, (nb, c, h // 2, w // 2, 4))
+    n_top = 2 + np.arange(windows[..., 0].size).reshape(windows.shape[:-1]) % 3
+    order = rng.permuted(np.broadcast_to(np.arange(4), windows.shape), axis=-1)
+    windows[order < n_top[..., None]] = 2.0
+    return (
+        windows.reshape(nb, c, h // 2, w // 2, 2, 2)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(shape)
+        .astype(dtype)
+    )
+
+
+@pytest.mark.parametrize(
+    "kind", ["random", "three_levels", "relu_zeros", "tied_corners"])
+# the inputs of baseline_cnn's two pools on MNIST-shape images
+@pytest.mark.parametrize("chw", [(16, 24, 24), (32, 8, 8)])
+@pytest.mark.parametrize("nb", [1, 7, 50])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pool_matches_argmax_reference(kind, chw, nb, dtype):
+    rng = np.random.default_rng((nb, *chw))
+    a = tied_pool_input(rng, (nb, *chw), dtype, kind)
+    d = rng.normal(size=(nb, chw[0], chw[1] // 2, chw[2] // 2)).astype(dtype)
+    ref_out, ref_dx = reference_pool(a, d)
+    out = _pool_forward(a)
+    dx = _pool_backward(d, a, out)
+    assert out.dtype == dx.dtype == dtype
+    assert np.array_equal(out, ref_out)
+    assert np.array_equal(dx, ref_dx)
+    at_max = a == np.repeat(np.repeat(out, 2, axis=2), 2, axis=3)
+    n_at_max = at_max.reshape(nb, chw[0], chw[1] // 2, 2, -1, 2).sum(axis=(3, 5))
+    if kind == "tied_corners":
+        assert set(np.unique(n_at_max)) == {2, 3, 4}
+    elif kind == "relu_zeros":
+        assert np.any((out == 0) & (n_at_max == 4))
 
 
 def test_confident_correct_prediction_near_zero_loss():
