@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .nn import Batch, Conv, Dense, ModelSpec, Network, Pool, baseline_cnn
 from .data import ClientShard, Dataset, PartitionConfig
 from .penalties import FisherDiag, Prox, fisher_diag
-from .target import TargetTracker, ensemble_target, ensemble_weights
+from .target import TargetTracker
 from .orchestrator import (
     AlgorithmVariant,
     FedConfig,
@@ -13,7 +13,6 @@ from .orchestrator import (
     run_experiment,
 )
 from .analysis import (
-    ExperimentSummary,
     Trajectory2D,
     converged_accuracy,
     pca_trajectory,
@@ -22,9 +21,8 @@ from .analysis import (
 
 __all__ = [
     "AlgorithmVariant", "Batch", "ClientShard", "Conv", "Dataset", "Dense",
-    "ExperimentSummary", "FedConfig", "FisherDiag", "ModelSpec", "Network",
-    "PartitionConfig", "Pool", "Prox", "RoundRecord", "TargetTracker",
-    "Trajectory2D", "baseline_cnn", "converged_accuracy", "ensemble_target",
-    "ensemble_weights", "fisher_diag", "pca_trajectory", "rounds_to_accuracy",
-    "run_experiment",
+    "FedConfig", "FisherDiag", "ModelSpec", "Network", "PartitionConfig",
+    "Pool", "Prox", "RoundRecord", "TargetTracker", "Trajectory2D",
+    "baseline_cnn", "converged_accuracy", "fisher_diag", "pca_trajectory",
+    "rounds_to_accuracy", "run_experiment",
 ]

@@ -6,15 +6,10 @@ number of stored rounds.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError
-
-
-def _accuracy(record):
-    return record.test_accuracy if hasattr(record, "test_accuracy") else float(record)
 
 
 def check_threshold(threshold):
@@ -24,41 +19,22 @@ def check_threshold(threshold):
     return threshold
 
 
-def rounds_to_accuracy(records, threshold):
-    """1-based index of the first round reaching the threshold, or None."""
+def rounds_to_accuracy(accuracy, threshold):
+    """1-based round of the first accuracy reaching the threshold, or None."""
     check_threshold(threshold)
-    for i, rec in enumerate(records, start=1):
-        if _accuracy(rec) >= threshold:
-            return getattr(rec, "round", i)
+    for i, acc in enumerate(accuracy, start=1):
+        if acc >= threshold:
+            return i
     return None
 
 
-def converged_accuracy(records, window):
-    """Mean test accuracy over the final `window` rounds."""
+def converged_accuracy(accuracy, window):
+    """Mean of the final `window` entries of a per-round accuracy curve."""
     if window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
-    if window > len(records):
-        raise ConfigError(f"window {window} exceeds {len(records)} records")
-    return float(np.mean([_accuracy(r) for r in records[-window:]]))
-
-
-@dataclass
-class ExperimentSummary:
-    variant: str
-    seed: int
-    rounds_to_threshold: dict  # threshold -> round or None
-    converged_accuracy: float
-    accuracy: list  # full per-round curve
-
-
-def summarize(records, variant, seed, thresholds, window):
-    return ExperimentSummary(
-        variant=variant,
-        seed=seed,
-        rounds_to_threshold={t: rounds_to_accuracy(records, t) for t in thresholds},
-        converged_accuracy=converged_accuracy(records, min(window, len(records))),
-        accuracy=[_accuracy(r) for r in records],
-    )
+    if window > len(accuracy):
+        raise ConfigError(f"window {window} exceeds {len(accuracy)} rounds")
+    return float(np.mean(accuracy[-window:]))
 
 
 @dataclass

@@ -71,7 +71,11 @@ def parse_config_file(path):
             key, raw = (part.strip() for part in line.split("=", 1))
             if key not in DEFAULTS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _coerce(key, raw)
+            try:
+                values[key] = _coerce(key, raw)
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: {key} must be "
+                                  f"{type(DEFAULTS[key]).__name__}, got {raw!r}") from None
     return values
 
 
@@ -235,6 +239,7 @@ def run_single(opts, seed, train, test):
         run_experiment(cfg, train, test, net=net, on_round=on_round)
 
     thresholds = _parse_thresholds(opts["thresholds"])
+    accuracy = [r.test_accuracy for r in records]
     summary = {
         "variant": opts["variant"],
         "alpha": opts["alpha"],
@@ -242,12 +247,12 @@ def run_single(opts, seed, train, test):
         "seed": seed,
         "dataset": opts["dataset"],
         "rounds_to_threshold": {
-            str(t): rounds_to_accuracy(records, t) for t in thresholds
+            str(t): rounds_to_accuracy(accuracy, t) for t in thresholds
         },
         "converged_accuracy": converged_accuracy(
-            records, min(opts["window"], len(records))
+            accuracy, min(opts["window"], len(accuracy))
         ),
-        "accuracy": [r.test_accuracy for r in records],
+        "accuracy": accuracy,
         "loss": [r.test_loss for r in records],
         "config": {k: opts[k] for k in DEFAULTS},
     }
@@ -284,10 +289,13 @@ def run_single(opts, seed, train, test):
 
 
 def cmd_run(args):
-    opts = merge_options(args)
     try:
+        opts = merge_options(args)
         seeds = _parse_seeds(opts["seed"])
         _parse_thresholds(opts["thresholds"])
+        for key in ("window", "traj_stride"):
+            if opts[key] < 1:
+                raise ConfigError(f"{key} must be >= 1, got {opts[key]}")
         train, test = load_dataset(opts["dataset"], opts["data_dir"])
     except (ConfigError, IngestionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

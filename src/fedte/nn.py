@@ -7,6 +7,11 @@ All parameters live in a single flat vector so that aggregation, penalty
 terms and constraint targets can treat a model as one array.
 
 Flat layout: layers in order, weights before biases within a layer.
+
+Each layer kind is one class with `setup(in_shape) -> ([(param shape, fan-in
+or None)], out_shape)`, which also validates the shape, `forward(a, *params)
+-> (out, cache)` and `backward(d, cache, need_dx, square) -> (dx or None,
+[weight grad, bias grad])`; `Network` loops over them and never reads a cache.
 """
 
 from dataclasses import dataclass
@@ -19,22 +24,104 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class Conv:
+    """Valid (unpadded) stride-1 convolution, optionally followed by a relu."""
+
     out_channels: int
     kernel: int = 5
-    stride: int = 1
     relu: bool = True
+
+    def setup(self, in_shape):
+        c, h, w = in_shape
+        k = self.kernel
+        if h < k or w < k:
+            raise ConfigError(f"kernel {k} too large for {in_shape}")
+        params = [((self.out_channels, c, k, k), c * k * k), ((self.out_channels,), None)]
+        return params, (self.out_channels, h - k + 1, w - k + 1)
+
+    def forward(self, a, w, b):
+        k = self.kernel
+        nb, _, h, w_ = a.shape
+        ho, wo = h - k + 1, w_ - k + 1
+        # im2col: (b, c*k*k, ho*wo) windows, one GEMM against (f, c*k*k)
+        cols = (
+            sliding_window_view(a, (k, k), axis=(2, 3))
+            .transpose(0, 1, 4, 5, 2, 3)
+            .reshape(nb, -1, ho * wo)
+        )
+        z = (w.reshape(w.shape[0], -1) @ cols).reshape(nb, -1, ho, wo)
+        z += b[None, :, None, None]
+        out = np.maximum(z, 0) if self.relu else z
+        return out, (cols, w, z, a.shape)
+
+    def backward(self, d, cache, need_dx, square):
+        cols, w, z, in_shape = cache
+        if self.relu:
+            d = d * (z > 0)
+        nb, f, ho, wo = d.shape
+        k = self.kernel
+        dm = d.reshape(nb, f, ho * wo)
+        gb = _reduce_batch(dm.sum(axis=2), square)
+        # per-example weight gradients, (b, f, ho*wo) @ (b, ho*wo, c*k*k)
+        gw = _reduce_batch(dm @ cols.transpose(0, 2, 1), square).reshape(w.shape)
+        if not need_dx:
+            return None, [gw, gb]
+        # col2im: one GEMM to (c, k, k, b, ho, wo), then k*k shifted
+        # slice-adds into the (c, b, h, w) view of dx
+        dcols = np.tensordot(w, d, axes=([0], [1]))
+        dx = np.zeros(in_shape, dtype=cols.dtype)
+        dxt = dx.transpose(1, 0, 2, 3)
+        for u in range(k):
+            for v in range(k):
+                dxt[:, :, u:u + ho, v:v + wo] += dcols[:, u, v]
+        return dx, [gw, gb]
 
 
 @dataclass(frozen=True)
 class Pool:
-    size: int = 2
-    stride: int = 2
+    """2x2 stride-2 max-pool; needs even spatial dims."""
+
+    def setup(self, in_shape):
+        c, h, w = in_shape
+        if h % 2 or w % 2:
+            raise ConfigError(f"pooling needs even spatial dims, got {in_shape}")
+        return [], (c, h // 2, w // 2)
+
+    def forward(self, a):
+        out = _pool_forward(a)
+        return out, (a, out)
+
+    def backward(self, d, cache, need_dx, square):
+        return (_pool_backward(d, *cache) if need_dx else None), []
 
 
 @dataclass(frozen=True)
 class Dense:
+    """Fully connected layer on the flattened input, optionally with a relu."""
+
     units: int
     relu: bool = True
+
+    def setup(self, in_shape):
+        d = int(np.prod(in_shape))
+        return [((self.units, d), d), ((self.units,), None)], (self.units,)
+
+    def forward(self, a, w, b):
+        in_shape = a.shape
+        a = a.reshape(in_shape[0], -1)
+        z = a @ w.T + b
+        out = np.maximum(z, 0) if self.relu else z
+        return out, (a, w, z, in_shape)
+
+    def backward(self, d, cache, need_dx, square):
+        a, w, z, in_shape = cache
+        if self.relu:
+            d = d * (z > 0)
+        if square:  # exact: (d_b a_b^T)**2 = d_b**2 (a_b**2)^T
+            gw = np.square(d, dtype=np.float64).T @ np.square(a, dtype=np.float64)
+        else:
+            gw = d.T @ a
+        dx = (d @ w).reshape(in_shape) if need_dx else None
+        return dx, [gw, _reduce_batch(d, square)]
 
 
 @dataclass(frozen=True)
@@ -56,9 +143,9 @@ def baseline_cnn(input_shape=(1, 28, 28)):
     return ModelSpec(
         input_shape=tuple(input_shape),
         layers=(
-            Conv(16, kernel=5, stride=1),
+            Conv(16, kernel=5),
             Pool(),
-            Conv(32, kernel=5, stride=1),
+            Conv(32, kernel=5),
             Pool(),
             Dense(512),
             Dense(10, relu=False),
@@ -85,48 +172,22 @@ class Network:
     """Stateless forward/backward engine for one ModelSpec.
 
     Parameters are always passed in explicitly as a flat vector; the network
-    object only holds shapes. Conv layers require stride 1 and pooling
-    requires even spatial dims (true for the baseline CNN on 28x28 and
-    32x32 inputs).
+    object only holds shapes. Each layer checks its own input shape, runs its
+    own forward and backward, and alone reads the cache its forward returns.
     """
 
     def __init__(self, spec, dtype=np.float32):
         self.spec = spec
         self.dtype = np.dtype(dtype)
-        self._shapes = []  # flat list of parameter array shapes
-        self._fan_in = []  # fan-in per weight array (None for biases)
+        self._params = []  # (shape, fan-in or None) per parameter array, flat order
+        self._slices = []  # each layer's slice of self._params
         shape = tuple(spec.input_shape)
         for layer in spec.layers:
-            if isinstance(layer, Conv):
-                if layer.stride != 1:
-                    raise ConfigError("only stride-1 convolutions supported")
-                c, h, w = shape
-                ho, wo = h - layer.kernel + 1, w - layer.kernel + 1
-                if ho < 1 or wo < 1:
-                    raise ConfigError(f"kernel {layer.kernel} too large for {shape}")
-                self._shapes.append((layer.out_channels, c, layer.kernel, layer.kernel))
-                self._fan_in.append(c * layer.kernel * layer.kernel)
-                self._shapes.append((layer.out_channels,))
-                self._fan_in.append(None)
-                shape = (layer.out_channels, ho, wo)
-            elif isinstance(layer, Pool):
-                if layer.size != 2 or layer.stride != 2:
-                    raise ConfigError("only 2x2 stride-2 pooling supported")
-                c, h, w = shape
-                if h % 2 or w % 2:
-                    raise ConfigError(f"pooling needs even spatial dims, got {shape}")
-                shape = (c, h // 2, w // 2)
-            elif isinstance(layer, Dense):
-                d = int(np.prod(shape))
-                self._shapes.append((layer.units, d))
-                self._fan_in.append(d)
-                self._shapes.append((layer.units,))
-                self._fan_in.append(None)
-                shape = (layer.units,)
-            else:
-                raise ConfigError(f"unknown layer {layer!r}")
+            params, shape = layer.setup(shape)
+            self._slices.append(slice(len(self._params), len(self._params) + len(params)))
+            self._params += params
         self.output_dim = shape[0]
-        self._offsets = np.cumsum([0] + [int(np.prod(s)) for s in self._shapes])
+        self._offsets = np.cumsum([0] + [int(np.prod(s)) for s, _ in self._params])
         self.n_params = int(self._offsets[-1])
 
     # -- parameter plumbing ------------------------------------------------
@@ -135,7 +196,7 @@ class Network:
         """Fan-in scaled uniform weights, zero biases."""
         rng = np.random.default_rng(seed)
         parts = []
-        for shape, fan_in in zip(self._shapes, self._fan_in):
+        for shape, fan_in in self._params:
             if fan_in is None:
                 parts.append(np.zeros(shape, dtype=self.dtype))
             else:
@@ -148,7 +209,7 @@ class Network:
             raise ConfigError(f"expected {self.n_params} params, got {params.shape}")
         return [
             params[self._offsets[i]:self._offsets[i + 1]].reshape(s)
-            for i, s in enumerate(self._shapes)
+            for i, (s, _) in enumerate(self._params)
         ]
 
     # -- forward / backward ------------------------------------------------
@@ -167,43 +228,11 @@ class Network:
                 f"{self.spec.input_shape}"
             )
         caches = []
-        i = 0
-        for layer in self.spec.layers:
-            if isinstance(layer, Conv):
-                w, b = arrays[i], arrays[i + 1]
-                i += 2
-                k = layer.kernel
-                nb, _, h, w_ = a.shape
-                ho, wo = h - k + 1, w_ - k + 1
-                # im2col: (b, c*k*k, ho*wo) windows, one GEMM against (f, c*k*k)
-                cols = (
-                    sliding_window_view(a, (k, k), axis=(2, 3))
-                    .transpose(0, 1, 4, 5, 2, 3)
-                    .reshape(nb, -1, ho * wo)
-                )
-                z = (w.reshape(w.shape[0], -1) @ cols).reshape(nb, -1, ho, wo)
-                z += b[None, :, None, None]
-                out = np.maximum(z, 0) if layer.relu else z
-                if keep:
-                    caches.append(("conv", layer, cols, w, z, a.shape))
-                del cols  # free the window copy before the next layer makes its own
-                a = out
-            elif isinstance(layer, Pool):
-                out = _pool_forward(a)
-                if keep:
-                    caches.append(("pool", layer, a, out))
-                a = out
-            elif isinstance(layer, Dense):
-                orig_shape = a.shape
-                if a.ndim > 2:
-                    a = a.reshape(orig_shape[0], -1)
-                w, b = arrays[i], arrays[i + 1]
-                i += 2
-                z = a @ w.T + b
-                out = np.maximum(z, 0) if layer.relu else z
-                if keep:
-                    caches.append(("dense", layer, a, w, z, orig_shape))
-                a = out
+        for layer, sl in zip(self.spec.layers, self._slices):
+            a, cache = layer.forward(a, *arrays[sl])
+            if keep:
+                caches.append(cache)
+            del cache  # free a conv's window copy before the next layer makes its own
         return a, caches
 
     def loss_and_grad(self, params, batch, penalty=None):
@@ -242,45 +271,10 @@ class Network:
         matmuls). The first layer's input gradient is never computed.
         """
         grads = []
-        for pos in range(len(caches) - 1, -1, -1):
-            kind, layer, *cache = caches[pos]
-            need_dx = pos > 0
-            if kind == "dense":
-                a_in, w, z, orig_shape = cache
-                if layer.relu:
-                    d = d * (z > 0)
-                grads.append(_reduce_batch(d, square))  # bias
-                if square:  # exact: (d_b a_b^T)**2 = d_b**2 (a_b**2)^T
-                    grads.append(np.square(d, dtype=np.float64).T
-                                 @ np.square(a_in, dtype=np.float64))
-                else:
-                    grads.append(d.T @ a_in)
-                if need_dx:
-                    d = (d @ w).reshape(orig_shape)
-            elif kind == "pool" and need_dx:
-                d = _pool_backward(d, *cache)
-            elif kind == "conv":
-                cols, w, z, in_shape = cache
-                if layer.relu:
-                    d = d * (z > 0)
-                nb, f, ho, wo = d.shape
-                k = layer.kernel
-                dm = d.reshape(nb, f, ho * wo)
-                grads.append(_reduce_batch(dm.sum(axis=2), square))  # bias
-                # per-example weight gradients, (b, f, ho*wo) @ (b, ho*wo, c*k*k)
-                g = dm @ cols.transpose(0, 2, 1)
-                grads.append(_reduce_batch(g, square).reshape(w.shape))
-                if need_dx:
-                    # col2im: one GEMM to (c, k, k, b, ho, wo), then k*k
-                    # shifted slice-adds into the (c, b, h, w) view of dx
-                    dcols = np.tensordot(w, d, axes=([0], [1]))
-                    dx = np.zeros(in_shape, dtype=self.dtype)
-                    dxt = dx.transpose(1, 0, 2, 3)
-                    for u in range(k):
-                        for v in range(k):
-                            dxt[:, :, u:u + ho, v:v + wo] += dcols[:, u, v]
-                    d = dx
-        grads.reverse()
+        for pos in reversed(range(len(caches))):
+            layer = self.spec.layers[pos]
+            d, layer_grads = layer.backward(d, caches[pos], need_dx=pos > 0, square=square)
+            grads[:0] = layer_grads
         return grads
 
 

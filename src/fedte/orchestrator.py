@@ -62,7 +62,6 @@ class FedConfig:
     seed: int
     variant: AlgorithmVariant
     gamma: float = 1.0
-    prior: Optional[np.ndarray] = None
     proxy_fraction: float = 0.01
     fisher_samples: int = 1024
     model_stride: int = 0  # store global params every N rounds (0 = never)
@@ -161,7 +160,7 @@ def run_experiment(cfg, train, test, net=None, fisher_fn=None, on_round=None):
     )
     shards = dirichlet_partition(
         train_main,
-        PartitionConfig(cfg.clients, cfg.gamma, cfg.prior, seed=(cfg.seed, _SEED_PARTITION)),
+        PartitionConfig(cfg.clients, cfg.gamma, seed=(cfg.seed, _SEED_PARTITION)),
     )
     global_params = net.init_params((cfg.seed, _SEED_INIT))
     tracker = TargetTracker(variant.beta) if variant.uses_ensemble else None

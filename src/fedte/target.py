@@ -18,7 +18,6 @@ class TargetTracker:
         self.beta = beta
         self.round = 0
         self._ensemble = None  # float64 accumulator
-        self.current = None
 
     def update(self, global_params):
         """Fold in the newest global model; returns the corrected target."""
@@ -30,29 +29,5 @@ class TargetTracker:
         self.round += 1
         self._ensemble = (1.0 - self.beta) * g.astype(np.float64) + self.beta * self._ensemble
         corrected = self._ensemble / (1.0 - self.beta ** self.round)
-        self.current = corrected.astype(g.dtype)
-        return self.current
+        return corrected.astype(g.dtype)
 
-
-def ensemble_weights(t, beta):
-    """Closed-form per-round weights of the corrected ensemble after t updates.
-
-    w_i = (1 - beta) * beta**(t - i) / (1 - beta**t) for i = 1..t; the weights
-    are nonnegative and sum to 1 (at beta = 0 only the last round counts).
-    """
-    if t < 1:
-        raise ConfigError(f"need at least one update, got t={t}")
-    if not (0 <= beta < 1):
-        raise ConfigError(f"momentum must be in [0, 1), got {beta}")
-    i = np.arange(1, t + 1)
-    return (1.0 - beta) * beta ** (t - i) / (1.0 - beta ** t)
-
-
-def ensemble_target(history, beta):
-    """Reference implementation: explicit weighted sum over the full history."""
-    history = [np.asarray(h) for h in history]
-    w = ensemble_weights(len(history), beta)
-    acc = np.zeros(history[0].shape, dtype=np.float64)
-    for wi, h in zip(w, history):
-        acc += wi * h.astype(np.float64)
-    return acc.astype(history[0].dtype)

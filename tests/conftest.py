@@ -1,5 +1,6 @@
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,17 +70,12 @@ def kink_margin(net, params, batch):
     crosses a relu kink or flips a pooling argmax.
     """
     margin = np.inf
-    _, caches = net._forward(params, batch.inputs, keep=True)
-    prev_act = None
-    for entry in caches:
-        kind, layer = entry[0], entry[1]
-        if kind in ("conv", "dense"):
-            z = entry[4]
-            if layer.relu:
-                margin = min(margin, float(np.abs(z).min()))
-            prev_act = np.maximum(z, 0) if layer.relu else z
-        else:  # pool; reconstruct windows from the preceding activation
-            a = prev_act
+    arrays = net.unflatten(params)
+    a, shape = np.asarray(batch.inputs, dtype=net.dtype), net.spec.input_shape
+    for layer in net.spec.layers:
+        layer_params, shape = layer.setup(shape)
+        p, arrays = arrays[:len(layer_params)], arrays[len(layer_params):]
+        if isinstance(layer, Pool):  # windows of the activation the pool reads
             nb, c, h, w = a.shape
             r = (
                 a.reshape(nb, c, h // 2, 2, w // 2, 2)
@@ -91,6 +87,10 @@ def kink_margin(net, params, batch):
             positive_top = s[..., 3] > 0  # all-clamped windows are exactly flat
             if np.any(positive_top):
                 margin = min(margin, float(gaps[positive_top].min()))
+        elif layer.relu:
+            z, _ = replace(layer, relu=False).forward(a, *p)
+            margin = min(margin, float(np.abs(z).min()))
+        a, _ = layer.forward(a, *p)
     return margin
 
 
@@ -148,6 +148,27 @@ def records_equal(a, b):
         if x.params is not None and not np.array_equal(x.params, y.params):
             return False
     return True
+
+
+def ensemble_weights(t, beta):
+    """Closed-form per-round weights of the corrected ensemble after t updates.
+
+    w_i = (1 - beta) * beta**(t - i) / (1 - beta**t) for i = 1..t; the weights
+    are nonnegative and sum to 1 (at beta = 0 only the last round counts).
+    """
+    assert t >= 1 and 0 <= beta < 1, (t, beta)
+    i = np.arange(1, t + 1)
+    return (1.0 - beta) * beta ** (t - i) / (1.0 - beta ** t)
+
+
+def ensemble_target(history, beta):
+    """Reference for TargetTracker: explicit weighted sum over the full history."""
+    history = [np.asarray(h) for h in history]
+    w = ensemble_weights(len(history), beta)
+    acc = np.zeros(history[0].shape, dtype=np.float64)
+    for wi, h in zip(w, history):
+        acc += wi * h.astype(np.float64)
+    return acc.astype(history[0].dtype)
 
 
 def save_idx(ds, images_path, labels_path):

@@ -26,10 +26,12 @@ from fedte.orchestrator import (
     aggregate,
     run_experiment,
 )
-from fedte.target import TargetTracker, ensemble_target, ensemble_weights
+from fedte.target import TargetTracker
 
 from conftest import (
     assert_grad_close,
+    ensemble_target,
+    ensemble_weights,
     finite_difference_grad,
     gradcheck_case,
     make_variant,
@@ -191,7 +193,8 @@ def _rounds_to(variant, threshold, seeds, cfg_kwargs, train, test, max_rounds):
             tiny_cfg(variant, seed=seed, rounds=max_rounds, **cfg_kwargs),
             train, test,
         )
-        results.append((rounds_to_accuracy(records, threshold), records))
+        accuracy = [r.test_accuracy for r in records]
+        results.append((rounds_to_accuracy(accuracy, threshold), records))
     return results
 
 
@@ -227,8 +230,8 @@ def test_criterion_9_fashion_fedcl_te(fashion_dir):
                                    0.80, [seed], kwargs, train, test, 300)
         base_rounds.append(rb)
         te_rounds.append(rt)
-        base_conv.append(converged_accuracy(recs_b, 20))
-        te_conv.append(converged_accuracy(recs_t, 20))
+        base_conv.append(converged_accuracy([r.test_accuracy for r in recs_b], 20))
+        te_conv.append(converged_accuracy([r.test_accuracy for r in recs_t], 20))
     assert all(r is not None for r in base_rounds + te_rounds)
     assert statistics.median(te_rounds) <= 0.95 * statistics.median(base_rounds)
     assert (statistics.median(te_conv)

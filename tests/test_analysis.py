@@ -1,34 +1,23 @@
 import numpy as np
 import pytest
 
-from fedte.analysis import (
-    converged_accuracy,
-    pca_trajectory,
-    rounds_to_accuracy,
-    summarize,
-)
+from fedte.analysis import converged_accuracy, pca_trajectory, rounds_to_accuracy
 from fedte.errors import ConfigError
-from fedte.orchestrator import RoundRecord
-
-
-def make_records(curve):
-    return [RoundRecord(i + 1, [], acc, 0.0, 0.01) for i, acc in enumerate(curve)]
 
 
 def test_rounds_to_accuracy_first_crossing():
-    recs = make_records([0.5, 0.96, 0.94])
-    assert rounds_to_accuracy(recs, 0.95) == 2
-    assert rounds_to_accuracy(recs, 0.99) is None
-    assert rounds_to_accuracy(recs, 1e-9) == 1
+    curve = [0.5, 0.96, 0.94]
+    assert rounds_to_accuracy(curve, 0.95) == 2
+    assert rounds_to_accuracy(curve, 0.99) is None
+    assert rounds_to_accuracy(curve, 1e-9) == 1
 
 
 def test_rounds_to_accuracy_monotone_in_threshold():
     rng = np.random.default_rng(0)
     curve = np.clip(np.cumsum(rng.uniform(-0.05, 0.1, 40)), 0, 1)
-    recs = make_records(curve)
     previous = 0
     for threshold in (0.1, 0.3, 0.5, 0.7, 0.9):
-        r = rounds_to_accuracy(recs, threshold)
+        r = rounds_to_accuracy(curve, threshold)
         if r is None:
             break
         assert r >= previous
@@ -36,23 +25,14 @@ def test_rounds_to_accuracy_monotone_in_threshold():
 
 
 def test_converged_accuracy():
-    assert converged_accuracy(make_records([0.7] * 5), 3) == pytest.approx(0.7)
-    recs = make_records([0.1, 0.2, 0.8, 0.9, 1.0])
-    assert converged_accuracy(recs, 3) == pytest.approx(0.9)
-    assert converged_accuracy(recs, 5) == pytest.approx(0.6)
+    assert converged_accuracy([0.7] * 5, 3) == pytest.approx(0.7)
+    curve = [0.1, 0.2, 0.8, 0.9, 1.0]
+    assert converged_accuracy(curve, 3) == pytest.approx(0.9)
+    assert converged_accuracy(curve, 5) == pytest.approx(0.6)
     with pytest.raises(ConfigError):
-        converged_accuracy(recs, 0)
+        converged_accuracy(curve, 0)
     with pytest.raises(ConfigError):
-        converged_accuracy(recs, 6)
-
-
-def test_summarize():
-    recs = make_records([0.2, 0.6, 0.9, 0.92])
-    s = summarize(recs, "fedprox", 1, thresholds=[0.5, 0.95], window=2)
-    assert s.rounds_to_threshold[0.5] == 2
-    assert s.rounds_to_threshold[0.95] is None
-    assert s.converged_accuracy == pytest.approx(0.91)
-    assert s.accuracy == [0.2, 0.6, 0.9, 0.92]
+        converged_accuracy(curve, 6)
 
 
 def test_pca_collinear_history_is_rank_one():

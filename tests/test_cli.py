@@ -174,6 +174,27 @@ def test_run_empty_seed_list_is_an_error(data_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config_text, flags, named", [
+    (None, ["--config", "missing.cfg"], "missing.cfg"),
+    ("roundz = 2\n", ["--config", "run.cfg"], "roundz"),
+    ("rounds = abc\n", ["--config", "run.cfg"], "'abc'"),
+    (None, ["--window", "0"], "window"),
+    (None, ["--save-trajectory", "--traj-stride", "0"], "traj_stride"),
+], ids=["missing-config", "unknown-key", "non-numeric-value", "window-0",
+        "traj-stride-0"])
+def test_run_bad_option_fails_before_training(data_dir, tmp_path, monkeypatch,
+                                              capsys, config_text, flags, named):
+    monkeypatch.chdir(tmp_path)
+    if config_text is not None:
+        (tmp_path / "run.cfg").write_text(config_text)
+    out = tmp_path / "out"
+    assert run_cli(data_dir, out, "--variant", "fedavg", "--seed", "1", *flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and named in captured.err
+    assert not out.exists()
+
+
 def test_compare_rejects_threshold_before_any_output(tmp_path, capsys):
     a = _write_summary(tmp_path / "a.json", "fedprox", [0.9])
     b = _write_summary(tmp_path / "b.json", "fedprox-te", [0.9])

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from fedte.errors import ConfigError
-from fedte.target import TargetTracker, ensemble_target, ensemble_weights
+from fedte.target import TargetTracker
+
+from conftest import ensemble_target, ensemble_weights
 
 
 def test_first_update_returns_model_unchanged():
