@@ -22,7 +22,7 @@ from . import __version__
 from .analysis import check_threshold, converged_accuracy, rounds_to_accuracy
 from .data import load_cifar10, load_idx
 from .errors import ConfigError, DivergenceError, IngestionError
-from .nn import Network, baseline_cnn
+from .nn import Network, baseline_cnn, lr_at_round
 from .orchestrator import AlgorithmVariant, FedConfig, run_experiment
 
 DEFAULTS = {
@@ -82,7 +82,10 @@ def parse_config_file(path):
 def _coerce(key, raw):
     template = DEFAULTS[key]
     if isinstance(template, bool):
-        return str(raw).lower() in ("1", "true", "yes", "on")
+        word = str(raw).lower()
+        if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+            raise ValueError(raw)
+        return word in ("1", "true", "yes", "on")
     if isinstance(template, int):
         return int(raw)
     if isinstance(template, float):
@@ -293,9 +296,11 @@ def cmd_run(args):
         opts = merge_options(args)
         seeds = _parse_seeds(opts["seed"])
         _parse_thresholds(opts["thresholds"])
-        for key in ("window", "traj_stride"):
-            if opts[key] < 1:
-                raise ConfigError(f"{key} must be >= 1, got {opts[key]}")
+        for key, low in (("window", 1), ("traj_stride", 1),
+                         ("limit_train", 0), ("limit_test", 0)):
+            if opts[key] < low:
+                raise ConfigError(f"{key} must be >= {low}, got {opts[key]}")
+        lr_at_round(1, opts["lr"], opts["lr_decay"])
         train, test = load_dataset(opts["dataset"], opts["data_dir"])
     except (ConfigError, IngestionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

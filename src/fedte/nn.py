@@ -3,6 +3,9 @@
 Supports plain feed-forward stacks of valid (unpadded) convolutions, 2x2
 max-pooling and dense layers, trained with softmax cross-entropy and SGD.
 The pool is a strided-slice max; its backward breaks ties as argmax does.
+Convolutions compute in channels-last memory behind (b, c, h, w) views, an
+order the pool's slices and ufuncs keep. Their im2col rows are output pixels
+and columns (u, v, channel), copied along image rows from NCHW memory.
 All parameters live in a single flat vector so that aggregation, penalty
 terms and constraint targets can treat a model as one array.
 
@@ -42,38 +45,40 @@ class Conv:
         k = self.kernel
         nb, _, h, w_ = a.shape
         ho, wo = h - k + 1, w_ - k + 1
-        # im2col: (b, c*k*k, ho*wo) windows, one GEMM against (f, c*k*k)
-        cols = (
-            sliding_window_view(a, (k, k), axis=(2, 3))
-            .transpose(0, 1, 4, 5, 2, 3)
-            .reshape(nb, -1, ho * wo)
-        )
-        z = (w.reshape(w.shape[0], -1) @ cols).reshape(nb, -1, ho, wo)
-        z += b[None, :, None, None]
-        out = np.maximum(z, 0) if self.relu else z
-        return out, (cols, w, z, a.shape)
+        if a.flags.c_contiguous:  # NCHW memory (any 1-channel input): copy image rows
+            cols = sliding_window_view(a, (ho, wo), axis=(2, 3)).transpose(0, 2, 3, 1, 4, 5)
+            cols = cols.reshape(nb, -1, ho * wo).transpose(0, 2, 1)
+        else:  # channels-last memory: copy runs of k*c floats
+            cols = sliding_window_view(a.transpose(0, 2, 3, 1), (k, k), axis=(1, 2))
+            cols = cols.transpose(0, 1, 2, 4, 5, 3).reshape(nb, ho * wo, -1)
+        z = cols @ w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0])
+        z += b
+        if self.relu:
+            np.maximum(z, 0, out=z)
+        # (b, f, ho, wo) view of channels-last memory
+        return z.reshape(nb, ho, wo, -1).transpose(0, 3, 1, 2), (cols, w, z, a.shape)
 
     def backward(self, d, cache, need_dx, square):
-        cols, w, z, in_shape = cache
-        if self.relu:
-            d = d * (z > 0)
-        nb, f, ho, wo = d.shape
+        cols, w, out, (nb, c, h, w_) = cache
+        _, f, ho, wo = d.shape
         k = self.kernel
-        dm = d.reshape(nb, f, ho * wo)
-        gb = _reduce_batch(dm.sum(axis=2), square)
-        # per-example weight gradients, (b, f, ho*wo) @ (b, ho*wo, c*k*k)
-        gw = _reduce_batch(dm @ cols.transpose(0, 2, 1), square).reshape(w.shape)
+        dm = d.transpose(0, 2, 3, 1).reshape(out.shape)
+        if self.relu:
+            dm = dm * (out > 0)
+        gb = _reduce_batch(np.ones(ho * wo, dm.dtype) @ dm, square)
+        # per-example weight gradients, (b, f, ho*wo) @ (b, ho*wo, k*k*c)
+        gw = _reduce_batch(dm.transpose(0, 2, 1) @ cols, square)
+        gw = gw.reshape(f, k, k, c).transpose(0, 3, 1, 2)
         if not need_dx:
             return None, [gw, gb]
-        # col2im: one GEMM to (c, k, k, b, ho, wo), then k*k shifted
-        # slice-adds into the (c, b, h, w) view of dx
-        dcols = np.tensordot(w, d, axes=([0], [1]))
-        dx = np.zeros(in_shape, dtype=cols.dtype)
-        dxt = dx.transpose(1, 0, 2, 3)
+        # col2im: per offset, (pixels, f) @ (f, c) then a shifted add into a
+        # channels-last dx in runs of wo*c floats
+        dm, wt = dm.reshape(-1, f), w.transpose(2, 3, 0, 1).reshape(k * k, f, c)
+        dx = np.zeros((nb, h, w_, c), dtype=cols.dtype)
         for u in range(k):
             for v in range(k):
-                dxt[:, :, u:u + ho, v:v + wo] += dcols[:, u, v]
-        return dx, [gw, gb]
+                dx[:, u:u + ho, v:v + wo] += (dm @ wt[u * k + v]).reshape(nb, ho, wo, c)
+        return dx.transpose(0, 3, 1, 2), [gw, gb]
 
 
 @dataclass(frozen=True)

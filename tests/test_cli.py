@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fedte.cli import DEFAULTS, main
+from fedte.cli import DEFAULTS, main, parse_config_file
 
 from conftest import write_idx_dataset
 
@@ -231,3 +231,53 @@ def test_compare_malformed_summary_is_an_error(tmp_path, capsys, bad):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}:")
+
+
+@pytest.mark.parametrize("flag", ["--limit-train", "--limit-test"])
+def test_run_negative_limit_fails_before_loading_data(data_dir, tmp_path, monkeypatch,
+                                                      capsys, flag):
+    def no_load(*args):
+        raise AssertionError("dataset loaded")
+
+    monkeypatch.setattr("fedte.cli.load_dataset", no_load)
+    out = tmp_path / "out"
+    assert run_cli(data_dir, out, "--variant", "fedavg", "--seed", "1", flag, "-5") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert flag[2:].replace("-", "_") in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--lr", "-1"], ["--lr", "0"], ["--lr-decay", "0"],
+                                   ["--lr-decay", "1.5"]],
+                         ids=["lr-negative", "lr-zero", "decay-zero", "decay-above-one"])
+def test_run_bad_lr_schedule_fails_before_any_run_dir(data_dir, tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    assert run_cli(data_dir, out, "--variant", "fedavg", "--seed", "1", *flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "lr schedule" in captured.err
+    assert not list(tmp_path.glob("out/*_seed*/metrics.csv"))
+
+
+@pytest.mark.parametrize("raw", ["ture", "2", "", "enabled"])
+def test_config_boolean_typo_is_an_error(data_dir, tmp_path, capsys, raw):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"rounds = 2\nsave_trajectory = {raw}\n")
+    out = tmp_path / "out"
+    assert run_cli(data_dir, out, "--variant", "fedavg", "--seed", "1",
+                   "--config", str(cfg)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {cfg}:2:") and "save_trajectory" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raw, value", [("1", True), ("Yes", True), ("on", True),
+                                        ("TRUE", True), ("0", False), ("false", False),
+                                        ("No", False), ("off", False)])
+def test_config_boolean_words(tmp_path, raw, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"save_trajectory = {raw}\n")
+    assert parse_config_file(str(cfg)) == {"save_trajectory": value}

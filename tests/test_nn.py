@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from fedte.errors import ConfigError
 from fedte.nn import (
@@ -140,6 +141,100 @@ def test_pool_matches_argmax_reference(kind, chw, nb, dtype):
         assert set(np.unique(n_at_max)) == {2, 3, 4}
     elif kind == "relu_zeros":
         assert np.any((out == 0) & (n_at_max == 4))
+
+
+def reference_conv(layer, a, w, b, d, need_dx, square):
+    """NCHW im2col convolution: (out, dx or None, [weight grad, bias grad]).
+
+    Weight and bias gradients are summed over the batch, or with `square`
+    the float64 batch sums of each example's squared gradients.
+    """
+    def reduce(g):
+        return np.square(g, dtype=np.float64).sum(axis=0) if square else g.sum(axis=0)
+
+    k = layer.kernel
+    nb, _, h, w_ = a.shape
+    ho, wo = h - k + 1, w_ - k + 1
+    cols = (
+        sliding_window_view(a, (k, k), axis=(2, 3))
+        .transpose(0, 1, 4, 5, 2, 3)
+        .reshape(nb, -1, ho * wo)
+    )
+    z = (w.reshape(w.shape[0], -1) @ cols).reshape(nb, -1, ho, wo)
+    z += b[None, :, None, None]
+    out = np.maximum(z, 0) if layer.relu else z
+    if layer.relu:
+        d = d * (z > 0)
+    dm = d.reshape(nb, -1, ho * wo)
+    grads = [reduce(dm @ cols.transpose(0, 2, 1)).reshape(w.shape), reduce(dm.sum(axis=2))]
+    if not need_dx:
+        return out, None, grads
+    dcols = np.tensordot(w, d, axes=([0], [1]))
+    dx = np.zeros(a.shape, dtype=cols.dtype)
+    dxt = dx.transpose(1, 0, 2, 3)
+    for u in range(k):
+        for v in range(k):
+            dxt[:, :, u:u + ho, v:v + wo] += dcols[:, u, v]
+    return out, dx, grads
+
+
+def channels_last(x):
+    """The same (b, c, h, w) values in channels-last memory."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+@pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+@pytest.mark.parametrize("need_dx", [True, False])
+@pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+@pytest.mark.parametrize("nb", [1, 7, 50])
+@pytest.mark.parametrize("kernel", [2, 3, 5])
+@pytest.mark.parametrize("c", [1, 2, 16])
+def test_conv_matches_nchw_reference(c, kernel, nb, dtype, rtol, need_dx, layout):
+    """Entries agree to `rtol` of each array's largest entry."""
+    def close(got, ref):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=rtol, atol=rtol * np.abs(ref).max())
+
+    rng = np.random.default_rng((c, kernel, nb))
+    f, h, w_ = 3, 9, 8  # h != w and f != c catch swapped axes
+    a = rng.normal(size=(nb, c, h, w_)).astype(dtype)
+    w = rng.normal(size=(f, c, kernel, kernel)).astype(dtype)
+    b = rng.normal(size=f).astype(dtype)
+    d = rng.normal(size=(nb, f, h - kernel + 1, w_ - kernel + 1)).astype(dtype)
+    if layout == "channels_last":
+        a, d = channels_last(a), channels_last(d)
+    for relu in (True, False):
+        layer = Conv(f, kernel=kernel, relu=relu)
+        out, cache = layer.forward(a, w, b)
+        for square in (False, True):
+            ref_out, ref_dx, ref_grads = reference_conv(layer, a, w, b, d, need_dx, square)
+            dx, grads = layer.backward(d, cache, need_dx=need_dx, square=square)
+            close(out, ref_out)
+            if need_dx:
+                close(dx, ref_dx)
+            else:
+                assert dx is None
+            for g, ref in zip(grads, ref_grads):
+                close(g, ref)
+
+
+def test_conv_and_pool_outputs_are_channels_last(monkeypatch):
+    """Every conv and pool output of baseline_cnn has channels-last memory."""
+    outputs = []
+    for cls in (Conv, Pool):
+        def recording(self, *args, _forward=cls.forward):
+            out, cache = _forward(self, *args)
+            outputs.append(out)
+            return out, cache
+        monkeypatch.setattr(cls, "forward", recording)
+    for shape in [(1, 28, 28), (3, 32, 32)]:
+        outputs.clear()
+        net = Network(baseline_cnn(shape))
+        x = np.random.default_rng(7).random((4, *shape)).astype(np.float32)
+        net._forward(net.init_params(7), x, keep=True)
+        assert len(outputs) == 4
+        for out in outputs:
+            assert out.transpose(0, 2, 3, 1).flags.c_contiguous
 
 
 def test_confident_correct_prediction_near_zero_loss():
