@@ -10,6 +10,8 @@ from .orchestrator import (
     AlgorithmVariant,
     FedConfig,
     RoundRecord,
+    RoundState,
+    prepare,
     run_experiment,
 )
 from .analysis import (
@@ -22,7 +24,7 @@ from .analysis import (
 __all__ = [
     "AlgorithmVariant", "Batch", "ClientShard", "Conv", "Dataset", "Dense",
     "FedConfig", "FisherDiag", "ModelSpec", "Network", "PartitionConfig",
-    "Pool", "Prox", "RoundRecord", "TargetTracker", "Trajectory2D",
+    "Pool", "Prox", "RoundRecord", "RoundState", "TargetTracker", "Trajectory2D",
     "baseline_cnn", "converged_accuracy", "fisher_diag", "pca_trajectory",
-    "rounds_to_accuracy", "run_experiment",
+    "prepare", "rounds_to_accuracy", "run_experiment",
 ]

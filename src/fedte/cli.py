@@ -23,7 +23,7 @@ from .analysis import check_threshold, converged_accuracy, rounds_to_accuracy
 from .data import load_cifar10, load_idx
 from .errors import ConfigError, DivergenceError, IngestionError
 from .nn import Network, baseline_cnn, lr_at_round
-from .orchestrator import AlgorithmVariant, FedConfig, run_experiment
+from .orchestrator import AlgorithmVariant, FedConfig, prepare, run_experiment
 
 DEFAULTS = {
     "dataset": "mnist",
@@ -213,23 +213,24 @@ def run_single(opts, seed, train, test):
         batch_size=opts["batch"], rounds=opts["rounds"], lr=opts["lr"],
         lr_decay=opts["lr_decay"], seed=seed, variant=variant,
         gamma=opts["gamma"], proxy_fraction=opts["proxy_fraction"],
-        fisher_samples=opts["fisher_samples"], model_stride=stride,
+        fisher_samples=opts["fisher_samples"],
     )
     net = Network(baseline_cnn(train.input_shape))
+    state = prepare(cfg, train, net)  # rejects the config before any output
 
     run_dir = os.path.join(opts["out_dir"], f"{opts['variant']}_seed{seed}")
     os.makedirs(run_dir, exist_ok=True)
     metrics_path = os.path.join(run_dir, "metrics.csv")
     started = datetime.now(timezone.utc).isoformat()
 
-    records = []
+    stored = []  # (round, global model) every `stride` rounds and at the last
     with open(metrics_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["round", "selected_clients", "test_accuracy",
                          "test_loss", "lr"])
 
-        def on_round(rec):
-            records.append(rec)
+        def on_round(state):
+            rec = state.records[-1]
             writer.writerow([
                 rec.round,
                 ";".join(str(c) for c in rec.selected),
@@ -238,8 +239,12 @@ def run_single(opts, seed, train, test):
                 repr(rec.lr),
             ])
             f.flush()
+            if stride and ((rec.round - 1) % stride == 0 or rec.round == cfg.rounds):
+                stored.append((rec.round, state.global_params.copy()))
 
-        run_experiment(cfg, train, test, net=net, on_round=on_round)
+        records = run_experiment(cfg, state, test, net, on_round=on_round)
+    # the data split and models are garbage now; free them before the PCA
+    del state
 
     thresholds = _parse_thresholds(opts["thresholds"])
     accuracy = [r.test_accuracy for r in records]
@@ -263,7 +268,6 @@ def run_single(opts, seed, train, test):
 
     outputs = {"metrics": metrics_path,
                "summary": os.path.join(run_dir, "summary.json")}
-    stored = [(r.round, r.params) for r in records if r.params is not None]
     if stride and len(stored) < 3:
         print("warning: fewer than 3 stored models, skipping trajectory",
               file=sys.stderr)

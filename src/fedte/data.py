@@ -3,7 +3,6 @@
 import gzip
 import struct
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -44,17 +43,13 @@ class ClientShard:
 class PartitionConfig:
     clients: int
     gamma: float
-    prior: Optional[np.ndarray] = None  # defaults to empirical class distribution
     seed: object = 0
 
 
 def _open_maybe_gzip(path):
-    f = open(path, "rb")
-    head = f.read(2)
-    f.seek(0)
-    if head == b"\x1f\x8b":
-        return gzip.open(f)
-    return f
+    with open(path, "rb") as f:
+        gzipped = f.read(2) == b"\x1f\x8b"
+    return gzip.open(path) if gzipped else open(path, "rb")
 
 
 def load_idx(images_path, labels_path):
@@ -125,15 +120,7 @@ def dirichlet_partition(ds, cfg):
 
     counts = np.bincount(ds.labels, minlength=ds.n_classes)
     present = np.flatnonzero(counts)
-    if cfg.prior is None:
-        prior = counts[present] / n
-    else:
-        prior = np.asarray(cfg.prior, dtype=np.float64)
-        if prior.shape != (ds.n_classes,) or not np.isclose(prior.sum(), 1.0):
-            raise ConfigError("prior must be a length-n_classes probability vector")
-        # mass on absent classes is redistributed over the present ones
-        prior = prior[present]
-        prior = prior / prior.sum()
+    prior = counts[present] / n  # the empirical class distribution
 
     rng = np.random.default_rng(cfg.seed)
     q = rng.dirichlet(cfg.gamma * prior, size=k)  # (k, n_present)

@@ -297,7 +297,8 @@ def _pool_forward(a):
 def _pool_backward(d, a, out):
     """Route each window's gradient to the first corner, in argmax order, at the max."""
     dx = np.empty_like(a)
-    free = np.ones(out.shape, dtype=bool)
+    # in d's memory order: channels-last when a conv follows, NCHW when a dense layer does
+    free = np.ones_like(d, dtype=bool)
     for u, v in ((0, 0), (0, 1), (1, 0), (1, 1)):
         hit = free & (a[:, :, u::2, v::2] == out)
         np.multiply(d, hit, out=dx[:, :, u::2, v::2])  # d * 0 may be -0.0

@@ -11,9 +11,9 @@ from typing import Optional
 import numpy as np
 
 from . import penalties
-from .data import PartitionConfig, dirichlet_partition, iterate_batches, split_proxy
+from .data import Dataset, PartitionConfig, dirichlet_partition, iterate_batches, split_proxy
 from .errors import ConfigError, DivergenceError
-from .nn import Network, baseline_cnn, log_softmax, lr_at_round, sgd_step
+from .nn import log_softmax, lr_at_round, sgd_step
 from .target import TargetTracker
 
 VARIANT_KINDS = ("fedavg", "fedprox", "fedcl", "fedprox-te", "fedcl-te")
@@ -64,13 +64,12 @@ class FedConfig:
     gamma: float = 1.0
     proxy_fraction: float = 0.01
     fisher_samples: int = 1024
-    model_stride: int = 0  # store global params every N rounds (0 = never)
 
     def __post_init__(self):
         if not (0 < self.ratio <= 1):
             raise ConfigError(f"selection ratio must be in (0, 1], got {self.ratio}")
-        if self.epochs < 1 or self.batch_size < 1 or self.rounds < 1:
-            raise ConfigError("epochs, batch_size and rounds must all be >= 1")
+        if min(self.epochs, self.batch_size, self.rounds, self.fisher_samples) < 1:
+            raise ConfigError("epochs, batch_size, rounds and fisher_samples must be >= 1")
 
 
 @dataclass
@@ -80,7 +79,19 @@ class RoundRecord:
     test_accuracy: float
     test_loss: float
     lr: float
-    params: Optional[np.ndarray] = None
+
+
+@dataclass
+class RoundState:
+    """A run between rounds: its data split and all that a round hands the next."""
+
+    train: Dataset  # the training examples left after the proxy split
+    proxy: Dataset
+    shards: list  # one ClientShard per client
+    global_params: np.ndarray
+    target: np.ndarray  # anchor of the next round's local training
+    tracker: Optional[TargetTracker]  # the -TE ensemble; None for other variants
+    records: list  # one RoundRecord per completed round: its length is the round index
 
 
 def select_clients(clients, ratio, round_idx, seed):
@@ -141,18 +152,8 @@ def evaluate(net, params, ds, batch_size=256):
     return correct / n, loss_sum / n
 
 
-def run_experiment(cfg, train, test, net=None, fisher_fn=None, on_round=None):
-    """Run the full federated loop; returns one RoundRecord per round.
-
-    `fisher_fn(net, params, proxy, max_samples, seed)` may be overridden for
-    testing; `on_round` is called with each RoundRecord as it is produced.
-    """
-    if net is None:
-        net = Network(baseline_cnn(train.input_shape))
-    if fisher_fn is None:
-        fisher_fn = penalties.fisher_diag
-    variant = cfg.variant
-
+def prepare(cfg, train, net):
+    """The RoundState before round 1; raises every ConfigError the data can cause."""
     # the proxy split happens for every variant so that paired runs of
     # different algorithms train on identical shards
     train_main, proxy = split_proxy(
@@ -163,45 +164,49 @@ def run_experiment(cfg, train, test, net=None, fisher_fn=None, on_round=None):
         PartitionConfig(cfg.clients, cfg.gamma, seed=(cfg.seed, _SEED_PARTITION)),
     )
     global_params = net.init_params((cfg.seed, _SEED_INIT))
-    tracker = TargetTracker(variant.beta) if variant.uses_ensemble else None
-    target = global_params  # round-1 constraint target is the initial model
+    tracker = TargetTracker(cfg.variant.beta) if cfg.variant.uses_ensemble else None
+    # round 1 anchors local training to the initial model
+    return RoundState(train_main, proxy, shards, global_params, global_params, tracker, [])
 
-    records = []
-    for t in range(1, cfg.rounds + 1):
+
+def run_experiment(cfg, state, test, net, fisher_fn=None, on_round=None):
+    """Advance `state` from `prepare` to round `cfg.rounds`; returns its records.
+
+    `fisher_fn(net, params, proxy, max_samples, seed)` may be overridden for
+    testing; `on_round` is called with the RoundState after each round.
+    """
+    if fisher_fn is None:
+        fisher_fn = penalties.fisher_diag
+    variant = cfg.variant
+
+    for t in range(len(state.records) + 1, cfg.rounds + 1):
         lr = lr_at_round(t, cfg.lr, cfg.lr_decay)
         selected = select_clients(cfg.clients, cfg.ratio, t, cfg.seed)
 
         if variant.kind == "fedavg":
             penalty = None
         elif variant.uses_fisher:
-            fisher = fisher_fn(
-                net, target, proxy, cfg.fisher_samples, (cfg.seed, _SEED_FISHER, t)
-            )
-            penalty = penalties.FisherDiag(variant.alpha, target, fisher)
+            fisher = fisher_fn(net, state.target, state.proxy, cfg.fisher_samples,
+                               (cfg.seed, _SEED_FISHER, t))
+            penalty = penalties.FisherDiag(variant.alpha, state.target, fisher)
         else:
-            penalty = penalties.Prox(variant.alpha, target)
+            penalty = penalties.Prox(variant.alpha, state.target)
 
         models, counts = [], []
         for k in selected:
             local_params, n_k = local_train(
-                net, global_params, train_main, shards[k], penalty,
+                net, state.global_params, state.train, state.shards[k], penalty,
                 cfg.epochs, cfg.batch_size, lr,
                 seed=(cfg.seed, _SEED_BATCH, t, k), round_idx=t, client_id=k,
             )
             models.append(local_params)
             counts.append(n_k)
-        global_params = aggregate(models, counts)
-        target = tracker.update(global_params) if tracker else global_params
+        state.global_params = aggregate(models, counts)
+        state.target = (state.tracker.update(state.global_params) if state.tracker
+                        else state.global_params)
 
-        accuracy, loss = evaluate(net, global_params, test)
-        keep_model = cfg.model_stride > 0 and (
-            (t - 1) % cfg.model_stride == 0 or t == cfg.rounds
-        )
-        record = RoundRecord(
-            t, selected, accuracy, loss, lr,
-            global_params.copy() if keep_model else None,
-        )
-        records.append(record)
+        accuracy, loss = evaluate(net, state.global_params, test)
+        state.records.append(RoundRecord(t, selected, accuracy, loss, lr))
         if on_round is not None:
-            on_round(record)
-    return records
+            on_round(state)
+    return state.records

@@ -7,7 +7,7 @@ import pytest
 
 from fedte.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, Dataset
 from fedte.nn import Batch, Conv, Dense, ModelSpec, Network, Pool
-from fedte.orchestrator import AlgorithmVariant, FedConfig
+from fedte.orchestrator import AlgorithmVariant, FedConfig, prepare, run_experiment
 from fedte.penalties import FisherDiag, Prox
 
 
@@ -29,7 +29,7 @@ def tiny_cfg(variant, seed=3, rounds=4, **overrides):
     base = dict(
         clients=5, ratio=0.4, epochs=1, batch_size=32, rounds=rounds,
         lr=0.05, lr_decay=0.99, seed=seed, variant=variant, gamma=1.0,
-        proxy_fraction=0.05, fisher_samples=64, model_stride=1,
+        proxy_fraction=0.05, fisher_samples=64,
     )
     base.update(overrides)
     return FedConfig(**base)
@@ -134,20 +134,27 @@ def assert_grad_close(analytic, fd, rtol=1e-4):
     assert err <= rtol * scale, f"gradient error {err} vs scale {scale}"
 
 
-def records_equal(a, b):
-    """Bitwise comparison of two RoundRecord sequences."""
-    if len(a) != len(b):
+def run_fed(cfg, train, test, net, **kwargs):
+    """`prepare`, then `run_experiment`; returns (records, global model of each round)."""
+    models = []
+    records = run_experiment(
+        cfg, prepare(cfg, train, net), test, net,
+        on_round=lambda state: models.append(state.global_params.copy()), **kwargs,
+    )
+    return records, models
+
+
+def runs_equal(a, b):
+    """Bitwise comparison of two `run_fed` results, records and models."""
+    (records_a, models_a), (records_b, models_b) = a, b
+    if len(records_a) != len(records_b) or len(models_a) != len(models_b):
         return False
-    for x, y in zip(a, b):
+    for x, y in zip(records_a, records_b):
         if x.selected != y.selected:
             return False
         if x.test_accuracy != y.test_accuracy or x.test_loss != y.test_loss:
             return False
-        if (x.params is None) != (y.params is None):
-            return False
-        if x.params is not None and not np.array_equal(x.params, y.params):
-            return False
-    return True
+    return all(np.array_equal(p, q) for p, q in zip(models_a, models_b))
 
 
 def ensemble_weights(t, beta):

@@ -24,6 +24,7 @@ from fedte.orchestrator import (
     _SEED_PARTITION,
     _SEED_PROXY,
     aggregate,
+    prepare,
     run_experiment,
 )
 from fedte.target import TargetTracker
@@ -35,7 +36,8 @@ from conftest import (
     finite_difference_grad,
     gradcheck_case,
     make_variant,
-    records_equal,
+    run_fed,
+    runs_equal,
     synth_dataset,
     tiny_cfg,
     tiny_spec,
@@ -80,8 +82,7 @@ def test_criterion_3_reduction_lattice():
     net = Network(tiny_spec())
 
     def run(variant, **kw):
-        return run_experiment(tiny_cfg(variant, rounds=5), train, test,
-                              net=net, **kw)
+        return run_fed(tiny_cfg(variant, rounds=5), train, test, net, **kw)
 
     fedavg = run(make_variant("fedavg"))
     prox0 = run(make_variant("fedprox", alpha=0.0))
@@ -92,10 +93,10 @@ def test_criterion_3_reduction_lattice():
     fedcl_ones = run(make_variant("fedcl", alpha=0.5),
                      fisher_fn=lambda net, p, ds, m, s: np.ones_like(p))
 
-    assert records_equal(prox0, fedavg)
-    assert records_equal(prox_te0, prox)
-    assert records_equal(fedcl_te0, fedcl)
-    assert records_equal(fedcl_ones, prox)
+    assert runs_equal(prox0, fedavg)
+    assert runs_equal(prox_te0, prox)
+    assert runs_equal(fedcl_te0, fedcl)
+    assert runs_equal(fedcl_ones, prox)
     report(3, "4 variant reductions bitwise-identical on 500-example synthetic")
 
 
@@ -189,10 +190,9 @@ def test_criterion_7_end_to_end_determinism(tmp_path):
 def _rounds_to(variant, threshold, seeds, cfg_kwargs, train, test, max_rounds):
     results = []
     for seed in seeds:
-        records = run_experiment(
-            tiny_cfg(variant, seed=seed, rounds=max_rounds, **cfg_kwargs),
-            train, test,
-        )
+        cfg = tiny_cfg(variant, seed=seed, rounds=max_rounds, **cfg_kwargs)
+        net = Network(baseline_cnn(train.input_shape))
+        records = run_experiment(cfg, prepare(cfg, train, net), test, net)
         accuracy = [r.test_accuracy for r in records]
         results.append((rounds_to_accuracy(accuracy, threshold), records))
     return results
@@ -203,7 +203,7 @@ def test_criterion_8_mnist_te_speedup(mnist_dir):
     train, test = load_dataset("mnist", mnist_dir)
     kwargs = dict(clients=10, ratio=0.2, epochs=2, batch_size=50,
                   lr=0.005, lr_decay=0.99, gamma=1.0, proxy_fraction=0.01,
-                  fisher_samples=1024, model_stride=0)
+                  fisher_samples=1024)
     base, te = [], []
     for seed in (1, 2, 3):
         base.append(_rounds_to(make_variant("fedprox", alpha=1.0), 0.95,
@@ -221,7 +221,7 @@ def test_criterion_9_fashion_fedcl_te(fashion_dir):
     train, test = load_dataset("fashion", fashion_dir)
     kwargs = dict(clients=10, ratio=0.2, epochs=2, batch_size=50,
                   lr=0.005, lr_decay=0.99, gamma=1.0, proxy_fraction=0.01,
-                  fisher_samples=1024, model_stride=0)
+                  fisher_samples=1024)
     base_rounds, te_rounds, base_conv, te_conv = [], [], [], []
     for seed in (1, 2, 3):
         (rb, recs_b), = _rounds_to(make_variant("fedcl", alpha=0.1), 0.80,
@@ -249,9 +249,10 @@ def test_criterion_10_cifar_smoke(cifar_dir):
         make_variant("fedprox-te", alpha=0.4, beta=0.4),
         clients=10, ratio=0.2, epochs=2, batch_size=50, rounds=30,
         lr=0.005, lr_decay=0.99, gamma=10.0, proxy_fraction=0.01,
-        fisher_samples=1024, model_stride=0, seed=1,
+        fisher_samples=1024, seed=1,
     )
-    records = run_experiment(cfg, train, test)
+    net = Network(baseline_cnn(train.input_shape))
+    records = run_experiment(cfg, prepare(cfg, train, net), test, net)
     assert len(records) == 30
     assert all(np.isfinite(r.test_loss) for r in records)
     report(10, f"30-round CIFAR10 run finished, final acc "
@@ -264,8 +265,8 @@ def test_criterion_11_centralized_reduction():
     seed = 7
     cfg = tiny_cfg(make_variant("fedavg"), seed=seed, rounds=5,
                    clients=1, ratio=1.0, epochs=1, batch_size=32,
-                   lr=0.05, lr_decay=0.99, proxy_fraction=0.05, model_stride=1)
-    records = run_experiment(cfg, train, test, net=net)
+                   lr=0.05, lr_decay=0.99, proxy_fraction=0.05)
+    _, models = run_fed(cfg, train, test, net)
 
     # centralized SGD over the same (post-proxy-split) training data
     train_main, _ = split_proxy(train, cfg.proxy_fraction, seed=(seed, _SEED_PROXY))
@@ -279,5 +280,5 @@ def test_criterion_11_centralized_reduction():
                                      seed=(seed, _SEED_BATCH, t, 0, 0)):
             _, grad = net.loss_and_grad(params, batch)
             params = sgd_step(params, grad, lr)
-        assert np.array_equal(records[t - 1].params, params)
+        assert np.array_equal(models[t - 1], params)
     report(11, "K=1 C=1 E=1 federated run bitwise equals centralized SGD")

@@ -180,8 +180,16 @@ def test_run_empty_seed_list_is_an_error(data_dir, tmp_path, capsys):
     ("rounds = abc\n", ["--config", "run.cfg"], "'abc'"),
     (None, ["--window", "0"], "window"),
     (None, ["--save-trajectory", "--traj-stride", "0"], "traj_stride"),
+    # rejected by the data split, which runs before the run directory is made
+    (None, ["--gamma", "0"], "concentration"),
+    (None, ["--clients", "5000"], "more clients"),
+    (None, ["--proxy-fraction", "0"], "proxy fraction"),
+    (None, ["--proxy-fraction", "0.01", "--limit-train", "200"], "proxy fraction"),
+    (None, ["--variant", "fedcl", "--fisher-samples", "-3"], "fisher_samples"),
+    (None, ["--variant", "fedcl", "--fisher-samples", "0"], "fisher_samples"),
 ], ids=["missing-config", "unknown-key", "non-numeric-value", "window-0",
-        "traj-stride-0"])
+        "traj-stride-0", "gamma-0", "clients-above-examples", "proxy-fraction-0",
+        "proxy-below-classes", "fisher-samples-negative", "fisher-samples-0"])
 def test_run_bad_option_fails_before_training(data_dir, tmp_path, monkeypatch,
                                               capsys, config_text, flags, named):
     monkeypatch.chdir(tmp_path)
@@ -192,6 +200,7 @@ def test_run_bad_option_fails_before_training(data_dir, tmp_path, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and named in captured.err
+    assert len(captured.err.splitlines()) == 1
     assert not out.exists()
 
 

@@ -1,4 +1,7 @@
+import gc
+import gzip
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +37,24 @@ def test_idx_two_image_fixture(tmp_path):
     assert ds.images.shape == (2, 1, 2, 2)
     assert np.array_equal(np.unique(ds.images), [0.0, 1.0])
     assert np.array_equal(ds.labels, [3, 7])
+
+
+def test_gzipped_idx_pair_loads_like_plain_and_closes_its_files(tmp_path):
+    images = np.arange(2 * 3 * 4, dtype=np.uint8).reshape(2, 3, 4)
+    plain = write_idx_pair(tmp_path, images, np.array([3, 7], dtype=np.uint8))
+    gzipped = []
+    for path in plain:
+        with open(path, "rb") as src, gzip.open(path + ".gz", "wb") as dst:
+            dst.write(src.read())
+        gzipped.append(path + ".gz")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        ds = load_idx(*gzipped)
+        gc.collect()  # an unclosed file warns when it is collected
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    expected = load_idx(*plain)
+    assert np.array_equal(ds.images, expected.images)
+    assert np.array_equal(ds.labels, expected.labels)
 
 
 def test_idx_bad_magic(tmp_path):
@@ -137,14 +158,12 @@ def test_partition_too_many_clients():
 def test_high_concentration_matches_prior():
     # multinomial assignment noise scales as sqrt(K / (10 N)); N must be large
     # for the 0.02 L1 bound to hold at K=10
-    prior = np.full(10, 0.1)
     n = 400_000
     for seed in range(5):
         labels = np.random.default_rng(seed).integers(0, 10, n).astype(np.int64)
         ds = Dataset(np.zeros((n, 1, 1, 1), dtype=np.float32), labels)
-        shards = dirichlet_partition(
-            ds, PartitionConfig(10, 1e6, prior=prior, seed=seed)
-        )
+        prior = np.bincount(labels, minlength=10) / n  # the partition's prior
+        shards = dirichlet_partition(ds, PartitionConfig(10, 1e6, seed=seed))
         for shard in shards:
             q = shard.label_histogram / shard.indices.size
             assert np.abs(q - prior).sum() < 0.02

@@ -9,12 +9,13 @@ from fedte.orchestrator import (
     aggregate,
     evaluate,
     local_train,
+    prepare,
     run_experiment,
     select_clients,
 )
 from fedte.penalties import Prox
 
-from conftest import make_variant, records_equal, synth_dataset, tiny_cfg, tiny_spec
+from conftest import make_variant, run_fed, runs_equal, synth_dataset, tiny_cfg, tiny_spec
 
 
 def test_select_clients_count():
@@ -139,9 +140,7 @@ def test_run_experiment_deterministic():
     train, test = synth_dataset(300, 0), synth_dataset(100, 1)
     net = Network(tiny_spec())
     cfg = tiny_cfg(make_variant("fedprox-te", alpha=0.5, beta=0.4))
-    a = run_experiment(cfg, train, test, net=net)
-    b = run_experiment(cfg, train, test, net=net)
-    assert records_equal(a, b)
+    assert runs_equal(run_fed(cfg, train, test, net), run_fed(cfg, train, test, net))
 
 
 def test_round_records_well_formed():
@@ -149,14 +148,18 @@ def test_round_records_well_formed():
     net = Network(tiny_spec())
     cfg = tiny_cfg(make_variant("fedcl-te", alpha=0.2, beta=0.3), rounds=3)
     seen = []
-    records = run_experiment(cfg, train, test, net=net, on_round=seen.append)
+
+    def on_round(state):
+        seen.append((list(state.records), state.global_params.copy()))
+
+    records = run_experiment(cfg, prepare(cfg, train, net), test, net, on_round=on_round)
     assert [r.round for r in records] == [1, 2, 3]
-    assert records_equal(records, seen)
-    for rec in records:
+    assert [done for done, _ in seen] == [records[:t] for t in (1, 2, 3)]
+    for rec, (_, params) in zip(records, seen):
         assert len(rec.selected) == 2  # floor(0.4 * 5)
         assert 0.0 <= rec.test_accuracy <= 1.0
-        assert rec.params is not None  # model_stride=1 in tiny_cfg
-        assert np.all(np.isfinite(rec.params))
+        assert params.shape == (net.n_params,)
+        assert np.all(np.isfinite(params))
 
 
 def test_reduction_lattice():
@@ -164,7 +167,7 @@ def test_reduction_lattice():
     net = Network(tiny_spec())
 
     def run(variant, **kw):
-        return run_experiment(tiny_cfg(variant), train, test, net=net, **kw)
+        return run_fed(tiny_cfg(variant), train, test, net, **kw)
 
     fedavg = run(make_variant("fedavg"))
     prox0 = run(make_variant("fedprox", alpha=0.0))
@@ -177,21 +180,19 @@ def test_reduction_lattice():
         fisher_fn=lambda net, p, ds, m, s: np.ones_like(p),
     )
 
-    assert records_equal(prox0, fedavg)
-    assert records_equal(prox_te0, prox)
-    assert records_equal(fedcl_te0, fedcl)
-    assert records_equal(fedcl_ones, prox)
+    assert runs_equal(prox0, fedavg)
+    assert runs_equal(prox_te0, prox)
+    assert runs_equal(fedcl_te0, fedcl)
+    assert runs_equal(fedcl_ones, prox)
     # the penalties do change the trajectory when active
-    assert not records_equal(prox, fedavg)
+    assert not runs_equal(prox, fedavg)
 
 
 def test_variants_share_client_selection():
     train, test = synth_dataset(300, 6), synth_dataset(100, 7)
     net = Network(tiny_spec())
-    a = run_experiment(tiny_cfg(make_variant("fedavg")), train, test, net=net)
-    b = run_experiment(
-        tiny_cfg(make_variant("fedprox", alpha=1.0)), train, test, net=net
-    )
+    a, _ = run_fed(tiny_cfg(make_variant("fedavg")), train, test, net)
+    b, _ = run_fed(tiny_cfg(make_variant("fedprox", alpha=1.0)), train, test, net)
     assert [r.selected for r in a] == [r.selected for r in b]
 
 
