@@ -23,7 +23,8 @@ from .analysis import check_threshold, converged_accuracy, rounds_to_accuracy
 from .data import load_cifar10, load_idx
 from .errors import ConfigError, DivergenceError, IngestionError
 from .nn import Network, baseline_cnn, lr_at_round
-from .orchestrator import AlgorithmVariant, FedConfig, prepare, run_experiment
+from .orchestrator import (VARIANT_KINDS, AlgorithmVariant, FedConfig, prepare,
+                           run_experiment)
 
 DEFAULTS = {
     "dataset": "mnist",
@@ -86,11 +87,7 @@ def _coerce(key, raw):
         if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
             raise ValueError(raw)
         return word in ("1", "true", "yes", "on")
-    if isinstance(template, int):
-        return int(raw)
-    if isinstance(template, float):
-        return float(raw)
-    return str(raw)
+    return type(template)(raw)  # int, float or str, as the flag's type
 
 
 def _find_file(data_dir, name):
@@ -102,7 +99,7 @@ def _find_file(data_dir, name):
 
 
 def load_dataset(dataset, data_dir):
-    """Returns (train, test) for mnist / fashion / cifar10."""
+    """Returns (train, test) for mnist / fashion / cifar10; both non-empty, one shape."""
     if dataset in ("mnist", "fashion"):
         train = load_idx(
             _find_file(data_dir, "train-images-idx3-ubyte"),
@@ -112,8 +109,7 @@ def load_dataset(dataset, data_dir):
             _find_file(data_dir, "t10k-images-idx3-ubyte"),
             _find_file(data_dir, "t10k-labels-idx1-ubyte"),
         )
-        return train, test
-    if dataset == "cifar10":
+    elif dataset == "cifar10":
         base = data_dir
         nested = os.path.join(data_dir, "cifar-10-batches-bin")
         if os.path.isdir(nested):
@@ -122,8 +118,24 @@ def load_dataset(dataset, data_dir):
             [_find_file(base, f"data_batch_{i}.bin") for i in range(1, 6)]
         )
         test = load_cifar10([_find_file(base, "test_batch.bin")])
-        return train, test
-    raise ConfigError(f"unknown dataset {dataset!r}")
+    else:
+        raise ConfigError(f"unknown dataset {dataset!r}")
+    for split, ds in (("train", train), ("test", test)):
+        if len(ds) == 0:
+            raise IngestionError(f"{dataset} {split} set in {data_dir} is empty")
+    if test.input_shape != train.input_shape:
+        raise IngestionError(f"{dataset} test images in {data_dir} have shape "
+                             f"{test.input_shape}, train images {train.input_shape}")
+    return train, test
+
+
+_RUN_HELP = {
+    "seed": "seed or comma-separated seed list",
+    "limit_train": "truncate training set to N examples (0 = full)",
+    "thresholds": "comma-separated accuracy thresholds",
+    "window": "converged-accuracy window in rounds",
+}
+_RUN_CHOICES = {"dataset": ("mnist", "fashion", "cifar10"), "variant": VARIANT_KINDS}
 
 
 def build_parser():
@@ -132,35 +144,16 @@ def build_parser():
 
     run_p = sub.add_parser("run", help="execute federated training runs")
     run_p.add_argument("--config", help="flat key=value config file")
-    run_p.add_argument("--dataset", choices=("mnist", "fashion", "cifar10"))
-    run_p.add_argument("--data-dir", dest="data_dir")
-    run_p.add_argument(
-        "--variant",
-        choices=("fedavg", "fedprox", "fedcl", "fedprox-te", "fedcl-te"),
-    )
-    run_p.add_argument("--alpha", type=float)
-    run_p.add_argument("--beta", type=float)
-    run_p.add_argument("--gamma", type=float)
-    run_p.add_argument("--clients", type=int)
-    run_p.add_argument("--ratio", type=float)
-    run_p.add_argument("--epochs", type=int)
-    run_p.add_argument("--batch", type=int)
-    run_p.add_argument("--rounds", type=int)
-    run_p.add_argument("--lr", type=float)
-    run_p.add_argument("--lr-decay", dest="lr_decay", type=float)
-    run_p.add_argument("--seed", help="seed or comma-separated seed list")
-    run_p.add_argument("--proxy-fraction", dest="proxy_fraction", type=float)
-    run_p.add_argument("--fisher-samples", dest="fisher_samples", type=int)
-    run_p.add_argument("--out-dir", dest="out_dir")
-    run_p.add_argument("--save-trajectory", dest="save_trajectory",
-                       action="store_true", default=None)
-    run_p.add_argument("--traj-stride", dest="traj_stride", type=int)
-    run_p.add_argument("--limit-train", dest="limit_train", type=int,
-                       help="truncate training set to N examples (0 = full)")
-    run_p.add_argument("--limit-test", dest="limit_test", type=int)
-    run_p.add_argument("--thresholds", help="comma-separated accuracy thresholds")
-    run_p.add_argument("--window", type=int,
-                       help="converged-accuracy window in rounds")
+    # one flag per config key; a flag left out stays None so the config file
+    # or DEFAULTS supplies the value (see merge_options)
+    for key, default in DEFAULTS.items():
+        flag = "--" + key.replace("_", "-")
+        text = f"{_RUN_HELP.get(key, '')} (default: {default})".lstrip()
+        if isinstance(default, bool):
+            run_p.add_argument(flag, action="store_true", default=None, help=text)
+        else:
+            run_p.add_argument(flag, type=type(default), choices=_RUN_CHOICES.get(key),
+                               help=text)
 
     cmp_p = sub.add_parser("compare", help="compare run summaries")
     cmp_p.add_argument("summaries", nargs="+", help="summary.json paths")
@@ -187,6 +180,9 @@ def _parse_seeds(raw):
         raise ConfigError(f"seeds must be integers, got {raw!r}") from None
     if not seeds:
         raise ConfigError("no seed given")
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise ConfigError(f"seed list {raw!r} repeats {repeated}")
     return seeds
 
 

@@ -52,6 +52,14 @@ def _open_maybe_gzip(path):
     return gzip.open(path) if gzipped else open(path, "rb")
 
 
+def _class_labels(raw, path):
+    """uint8 label bytes as int64 class ids; IngestionError past the last class."""
+    if raw.size and raw.max() >= Dataset.n_classes:
+        raise IngestionError(f"label {raw.max()} in {path} is not a class "
+                             f"(0-{Dataset.n_classes - 1})")
+    return raw.astype(np.int64)
+
+
 def load_idx(images_path, labels_path):
     """Read an MNIST-style IDX image/label file pair into a Dataset."""
     with _open_maybe_gzip(images_path) as f:
@@ -81,7 +89,7 @@ def load_idx(images_path, labels_path):
         )
     images = np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, h, w)
     images = images.astype(np.float32) / 255.0
-    labels = np.frombuffer(label_raw, dtype=np.uint8).astype(np.int64)
+    labels = _class_labels(np.frombuffer(label_raw, dtype=np.uint8), labels_path)
     return Dataset(images, labels)
 
 
@@ -96,7 +104,7 @@ def load_cifar10(batch_paths):
                 f"{path}: length {len(raw)} is not a multiple of {CIFAR_RECORD_BYTES}"
             )
         rec = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
-        labels.append(rec[:, 0].astype(np.int64))
+        labels.append(_class_labels(rec[:, 0], path))
         images.append(rec[:, 1:].reshape(-1, 3, 32, 32).astype(np.float32) / 255.0)
     return Dataset(np.concatenate(images), np.concatenate(labels))
 

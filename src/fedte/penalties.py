@@ -1,9 +1,10 @@
 """Quadratic constraint terms for local training and Fisher-diagonal estimation.
 
-Two penalty shapes are supported: a plain proximal anchor
-alpha * ||w - target||^2 and its importance-weighted version
-alpha * sum_i f_i (w_i - target_i)^2 where f is a nonnegative per-parameter
-Fisher diagonal. A penalty of None means unconstrained local training.
+One penalty serves every constrained variant:
+alpha * sum_i f_i (w_i - target_i)^2, where f is a nonnegative per-parameter
+Fisher diagonal (FedCL) or all ones (`Prox`, FedProx's proximal anchor,
+which skips the multiply). A penalty of None means unconstrained local
+training.
 
 `fisher_diag` estimates f as the empirical Fisher: the mean of squared
 per-example gradients of the cross-entropy on a proxy set. It runs the
@@ -25,40 +26,32 @@ _CHUNK = 64
 
 
 @dataclass(frozen=True)
-class Prox:
-    alpha: float
-    target: np.ndarray
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ConfigError(f"penalty weight must be >= 0, got {self.alpha}")
-
-    def value(self, params):
-        diff = params - self.target
-        return self.alpha * float(np.sum(diff * diff))
-
-    def grad(self, params):
-        return (2.0 * self.alpha) * (params - self.target)
-
-
-@dataclass(frozen=True)
 class FisherDiag:
+    """alpha * sum_i f_i (w_i - target_i)^2; `fisher=None` weighs every i by 1."""
+
     alpha: float
     target: np.ndarray
-    fisher: np.ndarray  # nonnegative, same length as target
+    fisher: np.ndarray | None = None  # nonnegative, same length as target
 
     def __post_init__(self):
         if self.alpha < 0:
             raise ConfigError(f"penalty weight must be >= 0, got {self.alpha}")
-        if self.fisher.shape != self.target.shape:
+        if self.fisher is not None and self.fisher.shape != self.target.shape:
             raise ConfigError("fisher diagonal and target must have equal length")
 
+    def _weighted(self, diff):
+        return diff if self.fisher is None else self.fisher * diff
+
     def value(self, params):
         diff = params - self.target
-        return self.alpha * float(np.sum(self.fisher * diff * diff))
+        return self.alpha * float(np.sum(self._weighted(diff) * diff))
 
     def grad(self, params):
-        return (2.0 * self.alpha) * (self.fisher * (params - self.target))
+        return (2.0 * self.alpha) * self._weighted(params - self.target)
+
+
+class Prox(FisherDiag):
+    """The proximal anchor alpha * ||w - target||^2: FisherDiag with unit weights."""
 
 
 def fisher_diag(net, params, ds, max_samples=1024, seed=0):

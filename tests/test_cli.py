@@ -1,10 +1,13 @@
+import argparse
 import json
 
 import pytest
 
-from fedte.cli import DEFAULTS, main, parse_config_file
+from fedte.cli import DEFAULTS, build_parser, main, merge_options, parse_config_file
+from fedte.data import load_idx
+from fedte.orchestrator import VARIANT_KINDS
 
-from conftest import write_idx_dataset
+from conftest import save_idx, synth_dataset, write_idx_dataset
 
 
 BASE_FLAGS = [
@@ -187,9 +190,11 @@ def test_run_empty_seed_list_is_an_error(data_dir, tmp_path, capsys):
     (None, ["--proxy-fraction", "0.01", "--limit-train", "200"], "proxy fraction"),
     (None, ["--variant", "fedcl", "--fisher-samples", "-3"], "fisher_samples"),
     (None, ["--variant", "fedcl", "--fisher-samples", "0"], "fisher_samples"),
+    (None, ["--seed", "3,1,3"], "repeats [3]"),
 ], ids=["missing-config", "unknown-key", "non-numeric-value", "window-0",
         "traj-stride-0", "gamma-0", "clients-above-examples", "proxy-fraction-0",
-        "proxy-below-classes", "fisher-samples-negative", "fisher-samples-0"])
+        "proxy-below-classes", "fisher-samples-negative", "fisher-samples-0",
+        "seed-repeated"])
 def test_run_bad_option_fails_before_training(data_dir, tmp_path, monkeypatch,
                                               capsys, config_text, flags, named):
     monkeypatch.chdir(tmp_path)
@@ -290,3 +295,72 @@ def test_config_boolean_words(tmp_path, raw, value):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"save_trajectory = {raw}\n")
     assert parse_config_file(str(cfg)) == {"save_trajectory": value}
+
+
+@pytest.mark.parametrize("case, named", [
+    ("empty-train", "train set"),
+    ("empty-test", "test set"),
+    ("test-shape", "shape (1, 20, 20)"),
+    ("label-12", "label 12"),
+], ids=["empty-train", "empty-test", "test-shape", "label-12"])
+def test_run_bad_data_files_fail_before_any_output(tmp_path, capsys, case, named):
+    data = tmp_path / "data"
+    write_idx_dataset(str(data))  # 400 train and 100 test images, 16x16
+    train_files = (str(data / "train-images-idx3-ubyte"),
+                   str(data / "train-labels-idx1-ubyte"))
+    test_files = (str(data / "t10k-images-idx3-ubyte"),
+                  str(data / "t10k-labels-idx1-ubyte"))
+    if case == "empty-train":
+        save_idx(synth_dataset(0, 0, shape=(1, 16, 16)), *train_files)
+    elif case == "empty-test":
+        save_idx(synth_dataset(0, 0, shape=(1, 16, 16)), *test_files)
+    elif case == "test-shape":
+        save_idx(synth_dataset(100, 0, shape=(1, 20, 20)), *test_files)
+    else:
+        train = load_idx(*train_files)
+        train.labels[0] = 12
+        save_idx(train, *train_files)
+    out = tmp_path / "out"
+    # one client trains on every example, so a bad label is always reached
+    assert run_cli(data, out, "--variant", "fedavg", "--seed", "1",
+                   "--clients", "1", "--ratio", "1") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and named in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert not list(tmp_path.glob("out/*_seed*"))
+
+
+def _run_actions():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices["run"]._actions}
+
+
+def test_every_config_key_is_a_run_flag_of_its_type():
+    actions = _run_actions()
+    assert set(actions) == set(DEFAULTS) | {"help", "config"}
+    for key, default in DEFAULTS.items():
+        flag = "--" + key.replace("_", "-")
+        assert actions[key].option_strings == [flag]
+        argv = ["run", flag] if isinstance(default, bool) else ["run", flag, str(default)]
+        parsed = getattr(build_parser().parse_args(argv), key)
+        assert parsed == (True if isinstance(default, bool) else default)
+        assert type(parsed) is type(default)
+        # a flag left out stays None, so merge_options keeps the config value
+        assert getattr(build_parser().parse_args(["run"]), key) is None
+    assert actions["variant"].choices == VARIANT_KINDS
+
+
+def test_flag_beats_config_for_every_type(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("save_trajectory = off\nrounds = 5\nlr = 0.1\nvariant = fedprox\n")
+    args = build_parser().parse_args([
+        "run", "--config", str(cfg), "--save-trajectory", "--rounds", "2",
+        "--lr", "0.01", "--variant", "fedcl",
+    ])
+    opts = merge_options(args)
+    assert (opts["save_trajectory"], opts["rounds"], opts["lr"], opts["variant"]) == (
+        True, 2, 0.01, "fedcl")
+    assert merge_options(build_parser().parse_args(["run", "--config", str(cfg)]))[
+        "rounds"] == 5

@@ -116,6 +116,17 @@ def test_cifar_truncated_record(tmp_path):
         load_cifar10([str(path)])
 
 
+def test_label_past_the_last_class_names_the_file(tmp_path):
+    ip, lp = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8),
+                            np.array([3, 10], dtype=np.uint8))
+    with pytest.raises(IngestionError, match=f"label 10 in {lp}"):
+        load_idx(ip, lp)
+    path = tmp_path / "batch.bin"
+    path.write_bytes(bytes([255]) + bytes(CIFAR_RECORD_BYTES - 1))
+    with pytest.raises(IngestionError, match=f"label 255 in {path}"):
+        load_cifar10([str(path)])
+
+
 def test_cifar_multiple_batches(tmp_path):
     paths = []
     for i in range(3):
