@@ -3,11 +3,10 @@
 __version__ = "0.1.0"
 
 from .nn import Batch, Conv, Dense, ModelSpec, Network, Pool, baseline_cnn
-from .data import ClientShard, Dataset, PartitionConfig
+from .data import ClientShard, Dataset
 from .penalties import FisherDiag, Prox, fisher_diag
 from .target import TargetTracker
 from .orchestrator import (
-    AlgorithmVariant,
     FedConfig,
     RoundRecord,
     RoundState,
@@ -22,9 +21,9 @@ from .analysis import (
 )
 
 __all__ = [
-    "AlgorithmVariant", "Batch", "ClientShard", "Conv", "Dataset", "Dense",
-    "FedConfig", "FisherDiag", "ModelSpec", "Network", "PartitionConfig",
-    "Pool", "Prox", "RoundRecord", "RoundState", "TargetTracker", "Trajectory2D",
+    "Batch", "ClientShard", "Conv", "Dataset", "Dense", "FedConfig", "FisherDiag",
+    "ModelSpec", "Network", "Pool", "Prox", "RoundRecord", "RoundState",
+    "TargetTracker", "Trajectory2D",
     "baseline_cnn", "converged_accuracy", "fisher_diag", "pca_trajectory",
     "prepare", "rounds_to_accuracy", "run_experiment",
 ]

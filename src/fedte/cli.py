@@ -14,6 +14,7 @@ import json
 import os
 import statistics
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -22,27 +23,14 @@ from . import __version__
 from .analysis import check_threshold, converged_accuracy, rounds_to_accuracy
 from .data import load_cifar10, load_idx
 from .errors import ConfigError, DivergenceError, IngestionError
-from .nn import Network, baseline_cnn, lr_at_round
-from .orchestrator import (VARIANT_KINDS, AlgorithmVariant, FedConfig, prepare,
-                           run_experiment)
+from .nn import Network, baseline_cnn
+from .orchestrator import VARIANT_KINDS, FedConfig, prepare, run_experiment
 
 DEFAULTS = {
     "dataset": "mnist",
     "data_dir": "data",
-    "variant": "fedavg",
-    "alpha": 1.0,
-    "beta": 0.2,
-    "gamma": 1.0,
-    "clients": 10,
-    "ratio": 0.2,
-    "epochs": 2,
-    "batch": 50,
-    "rounds": 100,
-    "lr": 0.005,
-    "lr_decay": 0.99,
-    "seed": "1",
-    "proxy_fraction": 0.01,
-    "fisher_samples": 1024,
+    **{f.name: f.default for f in fields(FedConfig)},  # the training options
+    "seed": "1",  # a comma-separated list of FedConfig seeds
     "out_dir": "runs",
     "save_trajectory": False,
     "traj_stride": 1,
@@ -55,7 +43,7 @@ DEFAULTS = {
 # config keys that must agree for summaries to be comparable
 FAMILY_KEYS = (
     "dataset", "gamma", "clients", "ratio", "epochs", "batch", "rounds",
-    "lr", "lr_decay", "proxy_fraction", "limit_train", "limit_test",
+    "lr", "lr_decay", "proxy_fraction", "limit_train", "limit_test", "window",
 )
 SUMMARY_KEYS = ("variant", "seed", "accuracy", "converged_accuracy")
 
@@ -200,21 +188,13 @@ def _write_json(path, payload):
         f.write("\n")
 
 
-def run_single(opts, seed, train, test):
-    """One (variant, seed) run; returns the output directory."""
-    variant = AlgorithmVariant(opts["variant"], opts["alpha"], opts["beta"])
+def run_single(opts, cfg, thresholds, train, test):
+    """One (variant, seed) run of `cfg`; returns the output directory."""
     stride = opts["traj_stride"] if opts["save_trajectory"] else 0
-    cfg = FedConfig(
-        clients=opts["clients"], ratio=opts["ratio"], epochs=opts["epochs"],
-        batch_size=opts["batch"], rounds=opts["rounds"], lr=opts["lr"],
-        lr_decay=opts["lr_decay"], seed=seed, variant=variant,
-        gamma=opts["gamma"], proxy_fraction=opts["proxy_fraction"],
-        fisher_samples=opts["fisher_samples"],
-    )
     net = Network(baseline_cnn(train.input_shape))
     state = prepare(cfg, train, net)  # rejects the config before any output
 
-    run_dir = os.path.join(opts["out_dir"], f"{opts['variant']}_seed{seed}")
+    run_dir = os.path.join(opts["out_dir"], f"{cfg.variant}_seed{cfg.seed}")
     os.makedirs(run_dir, exist_ok=True)
     metrics_path = os.path.join(run_dir, "metrics.csv")
     started = datetime.now(timezone.utc).isoformat()
@@ -242,13 +222,12 @@ def run_single(opts, seed, train, test):
     # the data split and models are garbage now; free them before the PCA
     del state
 
-    thresholds = _parse_thresholds(opts["thresholds"])
     accuracy = [r.test_accuracy for r in records]
     summary = {
-        "variant": opts["variant"],
-        "alpha": opts["alpha"],
-        "beta": opts["beta"],
-        "seed": seed,
+        "variant": cfg.variant,
+        "alpha": cfg.alpha,
+        "beta": cfg.beta,
+        "seed": cfg.seed,
         "dataset": opts["dataset"],
         "rounds_to_threshold": {
             str(t): rounds_to_accuracy(accuracy, t) for t in thresholds
@@ -284,7 +263,7 @@ def run_single(opts, seed, train, test):
         "artifact_version": __version__,
         "started": started,
         "finished": datetime.now(timezone.utc).isoformat(),
-        "config": dict(summary["config"], seed=seed),
+        "config": dict(summary["config"], seed=cfg.seed),
         "outputs": outputs,
     }
     _write_json(os.path.join(run_dir, "manifest.json"), manifest)
@@ -294,13 +273,13 @@ def run_single(opts, seed, train, test):
 def cmd_run(args):
     try:
         opts = merge_options(args)
-        seeds = _parse_seeds(opts["seed"])
-        _parse_thresholds(opts["thresholds"])
+        thresholds = _parse_thresholds(opts["thresholds"])
         for key, low in (("window", 1), ("traj_stride", 1),
                          ("limit_train", 0), ("limit_test", 0)):
             if opts[key] < low:
                 raise ConfigError(f"{key} must be >= {low}, got {opts[key]}")
-        lr_at_round(1, opts["lr"], opts["lr_decay"])
+        training = {f.name: opts[f.name] for f in fields(FedConfig)}
+        cfgs = [FedConfig(**training | {"seed": s}) for s in _parse_seeds(opts["seed"])]
         train, test = load_dataset(opts["dataset"], opts["data_dir"])
     except (ConfigError, IngestionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -310,9 +289,9 @@ def cmd_run(args):
     if opts["limit_test"]:
         test = test.subset(np.arange(min(opts["limit_test"], len(test))))
 
-    for seed in seeds:
+    for cfg in cfgs:
         try:
-            run_dir = run_single(opts, seed, train, test)
+            run_dir = run_single(opts, cfg, thresholds, train, test)
         except DivergenceError as exc:
             print(f"error: {exc} (partial metrics preserved)", file=sys.stderr)
             return 1

@@ -39,13 +39,6 @@ class ClientShard:
     label_histogram: np.ndarray  # per-class counts, length n_classes
 
 
-@dataclass(frozen=True)
-class PartitionConfig:
-    clients: int
-    gamma: float
-    seed: object = 0
-
-
 def _open_maybe_gzip(path):
     with open(path, "rb") as f:
         gzipped = f.read(2) == b"\x1f\x8b"
@@ -109,7 +102,7 @@ def load_cifar10(batch_paths):
     return Dataset(np.concatenate(images), np.concatenate(labels))
 
 
-def dirichlet_partition(ds, cfg):
+def dirichlet_partition(ds, clients, gamma, seed):
     """Split example indices across clients with Dirichlet-sampled class mixes.
 
     Each client draws a class distribution q ~ Dir(gamma * p); every class's
@@ -117,21 +110,20 @@ def dirichlet_partition(ds, cfg):
     their q weight for that class. A repair pass moves one example from the
     largest shard into any shard that came out empty.
     """
-    n = len(ds)
-    k = cfg.clients
+    n, k = len(ds), clients
     if k < 1:
         raise ConfigError(f"client count must be >= 1, got {k}")
     if k > n:
         raise ConfigError(f"more clients ({k}) than examples ({n})")
-    if cfg.gamma <= 0:
-        raise ConfigError(f"concentration must be > 0, got {cfg.gamma}")
+    if not 0 < gamma < np.inf:
+        raise ConfigError(f"concentration must be in (0, inf), got {gamma}")
 
     counts = np.bincount(ds.labels, minlength=ds.n_classes)
     present = np.flatnonzero(counts)
     prior = counts[present] / n  # the empirical class distribution
 
-    rng = np.random.default_rng(cfg.seed)
-    q = rng.dirichlet(cfg.gamma * prior, size=k)  # (k, n_present)
+    rng = np.random.default_rng(seed)
+    q = rng.dirichlet(gamma * prior, size=k)  # (k, n_present)
     q = np.nan_to_num(q, nan=0.0)
 
     assigned = [[] for _ in range(k)]

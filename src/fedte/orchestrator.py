@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from . import penalties
-from .data import Dataset, PartitionConfig, dirichlet_partition, iterate_batches, split_proxy
+from .data import Dataset, dirichlet_partition, iterate_batches, split_proxy
 from .errors import ConfigError, DivergenceError
 from .nn import log_softmax, lr_at_round, sgd_step
 from .target import TargetTracker
@@ -28,48 +28,47 @@ _SEED_FISHER = 15
 
 
 @dataclass(frozen=True)
-class AlgorithmVariant:
-    kind: str
-    alpha: float = 0.0
-    beta: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in VARIANT_KINDS:
-            raise ConfigError(f"unknown variant {self.kind!r}")
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
-        if not (0 <= self.beta < 1):
-            raise ConfigError(f"beta must be in [0, 1), got {self.beta}")
-
-    @property
-    def uses_fisher(self):
-        return self.kind in ("fedcl", "fedcl-te")
-
-    @property
-    def uses_ensemble(self):
-        return self.kind.endswith("-te")
-
-
-@dataclass(frozen=True)
 class FedConfig:
-    clients: int
-    ratio: float  # fraction of clients selected per round
-    epochs: int
-    batch_size: int
-    rounds: int
-    lr: float
-    lr_decay: float
-    seed: int
-    variant: AlgorithmVariant
-    gamma: float = 1.0
+    """One run's training options, each named and defaulted as its `fedte run` flag."""
+
+    variant: str = "fedavg"
+    alpha: float = 1.0  # penalty weight; unused by fedavg
+    beta: float = 0.2  # EMA momentum of the -TE target; unused by the base variants
+    gamma: float = 1.0  # Dirichlet concentration of the client partition
+    clients: int = 10
+    ratio: float = 0.2  # fraction of clients selected per round
+    epochs: int = 2
+    batch: int = 50
+    rounds: int = 100
+    lr: float = 0.005
+    lr_decay: float = 0.99
+    seed: int = 1
     proxy_fraction: float = 0.01
     fisher_samples: int = 1024
 
     def __post_init__(self):
-        if not (0 < self.ratio <= 1):
+        if self.variant not in VARIANT_KINDS:
+            raise ConfigError(f"unknown variant {self.variant!r}")
+        if not 0 <= self.alpha < np.inf:
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not 0 <= self.beta < 1:
+            raise ConfigError(f"beta must be in [0, 1), got {self.beta}")
+        if not 0 < self.ratio <= 1:
             raise ConfigError(f"selection ratio must be in (0, 1], got {self.ratio}")
-        if min(self.epochs, self.batch_size, self.rounds, self.fisher_samples) < 1:
-            raise ConfigError("epochs, batch_size, rounds and fisher_samples must be >= 1")
+        for key in ("clients", "epochs", "batch", "rounds", "fisher_samples"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        lr_at_round(1, self.lr, self.lr_decay)  # the lr schedule's own check
+
+    @property
+    def uses_fisher(self):
+        return self.variant in ("fedcl", "fedcl-te")
+
+    @property
+    def uses_ensemble(self):
+        return self.variant.endswith("-te")
 
 
 @dataclass
@@ -159,12 +158,10 @@ def prepare(cfg, train, net):
     train_main, proxy = split_proxy(
         train, cfg.proxy_fraction, seed=(cfg.seed, _SEED_PROXY)
     )
-    shards = dirichlet_partition(
-        train_main,
-        PartitionConfig(cfg.clients, cfg.gamma, seed=(cfg.seed, _SEED_PARTITION)),
-    )
+    shards = dirichlet_partition(train_main, cfg.clients, cfg.gamma,
+                                 (cfg.seed, _SEED_PARTITION))
     global_params = net.init_params((cfg.seed, _SEED_INIT))
-    tracker = TargetTracker(cfg.variant.beta) if cfg.variant.uses_ensemble else None
+    tracker = TargetTracker(cfg.beta) if cfg.uses_ensemble else None
     # round 1 anchors local training to the initial model
     return RoundState(train_main, proxy, shards, global_params, global_params, tracker, [])
 
@@ -177,26 +174,25 @@ def run_experiment(cfg, state, test, net, fisher_fn=None, on_round=None):
     """
     if fisher_fn is None:
         fisher_fn = penalties.fisher_diag
-    variant = cfg.variant
 
     for t in range(len(state.records) + 1, cfg.rounds + 1):
         lr = lr_at_round(t, cfg.lr, cfg.lr_decay)
         selected = select_clients(cfg.clients, cfg.ratio, t, cfg.seed)
 
-        if variant.kind == "fedavg":
+        if cfg.variant == "fedavg":
             penalty = None
-        elif variant.uses_fisher:
+        elif cfg.uses_fisher:
             fisher = fisher_fn(net, state.target, state.proxy, cfg.fisher_samples,
                                (cfg.seed, _SEED_FISHER, t))
-            penalty = penalties.FisherDiag(variant.alpha, state.target, fisher)
+            penalty = penalties.FisherDiag(cfg.alpha, state.target, fisher)
         else:
-            penalty = penalties.Prox(variant.alpha, state.target)
+            penalty = penalties.Prox(cfg.alpha, state.target)
 
         models, counts = [], []
         for k in selected:
             local_params, n_k = local_train(
                 net, state.global_params, state.train, state.shards[k], penalty,
-                cfg.epochs, cfg.batch_size, lr,
+                cfg.epochs, cfg.batch, lr,
                 seed=(cfg.seed, _SEED_BATCH, t, k), round_idx=t, client_id=k,
             )
             models.append(local_params)

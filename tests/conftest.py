@@ -7,7 +7,7 @@ import pytest
 
 from fedte.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, Dataset
 from fedte.nn import Batch, Conv, Dense, ModelSpec, Network, Pool
-from fedte.orchestrator import AlgorithmVariant, FedConfig, prepare, run_experiment
+from fedte.orchestrator import FedConfig, prepare, run_experiment
 from fedte.penalties import FisherDiag, Prox
 
 
@@ -26,13 +26,13 @@ def tiny_spec():
 
 
 def tiny_cfg(variant, seed=3, rounds=4, **overrides):
+    """A small FedConfig; `variant` is the variant, alpha and beta of make_variant."""
     base = dict(
-        clients=5, ratio=0.4, epochs=1, batch_size=32, rounds=rounds,
-        lr=0.05, lr_decay=0.99, seed=seed, variant=variant, gamma=1.0,
+        clients=5, ratio=0.4, epochs=1, batch=32, rounds=rounds,
+        lr=0.05, lr_decay=0.99, seed=seed, gamma=1.0,
         proxy_fraction=0.05, fisher_samples=64,
     )
-    base.update(overrides)
-    return FedConfig(**base)
+    return FedConfig(**base | variant | overrides)
 
 
 # small architectures (< 200 params) for finite-difference gradient checks
@@ -243,4 +243,5 @@ def cifar_dir():
 
 
 def make_variant(kind, alpha=0.0, beta=0.0):
-    return AlgorithmVariant(kind, alpha, beta)
+    """FedConfig's variant fields; alpha and beta default to 0, not to the flags'."""
+    return dict(variant=kind, alpha=alpha, beta=beta)

@@ -16,7 +16,7 @@ import pytest
 
 from fedte.analysis import converged_accuracy, pca_trajectory, rounds_to_accuracy
 from fedte.cli import load_dataset, main
-from fedte.data import PartitionConfig, dirichlet_partition, iterate_batches, split_proxy
+from fedte.data import dirichlet_partition, iterate_batches, split_proxy
 from fedte.nn import Network, baseline_cnn, lr_at_round, sgd_step
 from fedte.orchestrator import (
     _SEED_BATCH,
@@ -124,9 +124,7 @@ def test_criterion_5_partition_on_mnist_labels(mnist_dir):
     for gamma in (0.1, 100.0):
         total = 0.0
         for seed in range(5):
-            shards = dirichlet_partition(
-                train, PartitionConfig(10, gamma, seed=seed)
-            )
+            shards = dirichlet_partition(train, 10, gamma, seed)
             merged = np.concatenate([s.indices for s in shards])
             assert np.array_equal(np.sort(merged), np.arange(len(train)))
             total += np.mean([
@@ -201,7 +199,7 @@ def _rounds_to(variant, threshold, seeds, cfg_kwargs, train, test, max_rounds):
 @pytest.mark.skipif(not RUN_FULL, reason="multi-hour run; set FEDTE_RUN_FULL=1")
 def test_criterion_8_mnist_te_speedup(mnist_dir):
     train, test = load_dataset("mnist", mnist_dir)
-    kwargs = dict(clients=10, ratio=0.2, epochs=2, batch_size=50,
+    kwargs = dict(clients=10, ratio=0.2, epochs=2, batch=50,
                   lr=0.005, lr_decay=0.99, gamma=1.0, proxy_fraction=0.01,
                   fisher_samples=1024)
     base, te = [], []
@@ -219,7 +217,7 @@ def test_criterion_8_mnist_te_speedup(mnist_dir):
 @pytest.mark.skipif(not RUN_FULL, reason="multi-hour run; set FEDTE_RUN_FULL=1")
 def test_criterion_9_fashion_fedcl_te(fashion_dir):
     train, test = load_dataset("fashion", fashion_dir)
-    kwargs = dict(clients=10, ratio=0.2, epochs=2, batch_size=50,
+    kwargs = dict(clients=10, ratio=0.2, epochs=2, batch=50,
                   lr=0.005, lr_decay=0.99, gamma=1.0, proxy_fraction=0.01,
                   fisher_samples=1024)
     base_rounds, te_rounds, base_conv, te_conv = [], [], [], []
@@ -247,7 +245,7 @@ def test_criterion_10_cifar_smoke(cifar_dir):
     train, test = load_dataset("cifar10", cifar_dir)
     cfg = tiny_cfg(
         make_variant("fedprox-te", alpha=0.4, beta=0.4),
-        clients=10, ratio=0.2, epochs=2, batch_size=50, rounds=30,
+        clients=10, ratio=0.2, epochs=2, batch=50, rounds=30,
         lr=0.005, lr_decay=0.99, gamma=10.0, proxy_fraction=0.01,
         fisher_samples=1024, seed=1,
     )
@@ -264,19 +262,17 @@ def test_criterion_11_centralized_reduction():
     net = Network(tiny_spec())
     seed = 7
     cfg = tiny_cfg(make_variant("fedavg"), seed=seed, rounds=5,
-                   clients=1, ratio=1.0, epochs=1, batch_size=32,
+                   clients=1, ratio=1.0, epochs=1, batch=32,
                    lr=0.05, lr_decay=0.99, proxy_fraction=0.05)
     _, models = run_fed(cfg, train, test, net)
 
     # centralized SGD over the same (post-proxy-split) training data
     train_main, _ = split_proxy(train, cfg.proxy_fraction, seed=(seed, _SEED_PROXY))
-    (shard,) = dirichlet_partition(
-        train_main, PartitionConfig(1, cfg.gamma, seed=(seed, _SEED_PARTITION))
-    )
+    (shard,) = dirichlet_partition(train_main, 1, cfg.gamma, (seed, _SEED_PARTITION))
     params = net.init_params((seed, _SEED_INIT))
     for t in range(1, cfg.rounds + 1):
         lr = lr_at_round(t, cfg.lr, cfg.lr_decay)
-        for batch in iterate_batches(train_main, shard, cfg.batch_size,
+        for batch in iterate_batches(train_main, shard, cfg.batch,
                                      seed=(seed, _SEED_BATCH, t, 0, 0)):
             _, grad = net.loss_and_grad(params, batch)
             params = sgd_step(params, grad, lr)

@@ -1,11 +1,12 @@
 import argparse
 import json
+from dataclasses import fields
 
 import pytest
 
 from fedte.cli import DEFAULTS, build_parser, main, merge_options, parse_config_file
 from fedte.data import load_idx
-from fedte.orchestrator import VARIANT_KINDS
+from fedte.orchestrator import VARIANT_KINDS, FedConfig
 
 from conftest import save_idx, synth_dataset, write_idx_dataset
 
@@ -161,9 +162,10 @@ def test_compare_unreached_threshold_absent(tmp_path):
     assert report["reductions"]["fedprox-te_vs_fedprox@0.95"] is None
 
 
-def test_compare_refuses_mismatched_configs(tmp_path, capsys):
+@pytest.mark.parametrize("key", ["rounds", "window"])
+def test_compare_refuses_mismatched_configs(tmp_path, capsys, key):
     a = _write_summary(tmp_path / "a.json", "fedprox", [0.9])
-    b = _write_summary(tmp_path / "b.json", "fedprox-te", [0.9], rounds=999)
+    b = _write_summary(tmp_path / "b.json", "fedprox-te", [0.9], **{key: 999})
     assert main(["compare", a, b]) == 2
     assert "not config-compatible" in capsys.readouterr().err
 
@@ -191,10 +193,17 @@ def test_run_empty_seed_list_is_an_error(data_dir, tmp_path, capsys):
     (None, ["--variant", "fedcl", "--fisher-samples", "-3"], "fisher_samples"),
     (None, ["--variant", "fedcl", "--fisher-samples", "0"], "fisher_samples"),
     (None, ["--seed", "3,1,3"], "repeats [3]"),
+    (None, ["--seed", "-1"], "seed must be >= 0"),
+    (None, ["--seed", "1,-2"], "seed must be >= 0"),
+    (None, ["--gamma", "nan"], "concentration"),
+    (None, ["--gamma", "inf"], "concentration"),
+    (None, ["--alpha", "nan"], "alpha"),
+    (None, ["--lr", "inf"], "lr schedule"),
 ], ids=["missing-config", "unknown-key", "non-numeric-value", "window-0",
         "traj-stride-0", "gamma-0", "clients-above-examples", "proxy-fraction-0",
         "proxy-below-classes", "fisher-samples-negative", "fisher-samples-0",
-        "seed-repeated"])
+        "seed-repeated", "seed-negative", "seed-list-negative", "gamma-nan",
+        "gamma-inf", "alpha-nan", "lr-inf"])
 def test_run_bad_option_fails_before_training(data_dir, tmp_path, monkeypatch,
                                               capsys, config_text, flags, named):
     monkeypatch.chdir(tmp_path)
@@ -350,6 +359,17 @@ def test_every_config_key_is_a_run_flag_of_its_type():
         # a flag left out stays None, so merge_options keeps the config value
         assert getattr(build_parser().parse_args(["run"]), key) is None
     assert actions["variant"].choices == VARIANT_KINDS
+
+
+def test_every_fed_config_field_is_a_run_flag_with_its_default():
+    actions = _run_actions()
+    for f in fields(FedConfig):
+        assert type(f.default) is f.type, f.name
+        if f.name == "seed":  # the flag is a comma-separated list of FedConfig seeds
+            assert (DEFAULTS["seed"], actions["seed"].type) == (str(f.default), str)
+        else:
+            assert (DEFAULTS[f.name], actions[f.name].type) == (f.default, f.type)
+    FedConfig()  # the defaults are a run that passes every check
 
 
 def test_flag_beats_config_for_every_type(tmp_path):

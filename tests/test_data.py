@@ -9,7 +9,6 @@ import pytest
 from fedte.data import (
     CIFAR_RECORD_BYTES,
     Dataset,
-    PartitionConfig,
     dirichlet_partition,
     iterate_batches,
     load_cifar10,
@@ -143,7 +142,7 @@ def test_cifar_multiple_batches(tmp_path):
 ])
 def test_partition_conservation(clients, gamma, seed):
     ds = synth_dataset(400, seed)
-    shards = dirichlet_partition(ds, PartitionConfig(clients, gamma, seed=seed))
+    shards = dirichlet_partition(ds, clients, gamma, seed)
     assert len(shards) == clients
     merged = np.concatenate([s.indices for s in shards])
     assert np.array_equal(np.sort(merged), np.arange(len(ds)))
@@ -156,14 +155,14 @@ def test_partition_conservation(clients, gamma, seed):
 
 def test_partition_single_client():
     ds = synth_dataset(50, 1)
-    (shard,) = dirichlet_partition(ds, PartitionConfig(1, 0.3, seed=9))
+    (shard,) = dirichlet_partition(ds, 1, 0.3, 9)
     assert np.array_equal(np.sort(shard.indices), np.arange(50))
 
 
 def test_partition_too_many_clients():
     ds = synth_dataset(5, 0)
     with pytest.raises(ConfigError):
-        dirichlet_partition(ds, PartitionConfig(10, 1.0, seed=0))
+        dirichlet_partition(ds, 10, 1.0, 0)
 
 
 def test_high_concentration_matches_prior():
@@ -174,7 +173,7 @@ def test_high_concentration_matches_prior():
         labels = np.random.default_rng(seed).integers(0, 10, n).astype(np.int64)
         ds = Dataset(np.zeros((n, 1, 1, 1), dtype=np.float32), labels)
         prior = np.bincount(labels, minlength=10) / n  # the partition's prior
-        shards = dirichlet_partition(ds, PartitionConfig(10, 1e6, seed=seed))
+        shards = dirichlet_partition(ds, 10, 1e6, seed)
         for shard in shards:
             q = shard.label_histogram / shard.indices.size
             assert np.abs(q - prior).sum() < 0.02
@@ -187,7 +186,7 @@ def test_concentration_monotonicity_synthetic():
         for seed in range(5):
             ds = synth_dataset(2000, seed)
             prior = np.bincount(ds.labels, minlength=10) / len(ds)
-            shards = dirichlet_partition(ds, PartitionConfig(10, gamma, seed=seed))
+            shards = dirichlet_partition(ds, 10, gamma, seed)
             total += np.mean([
                 np.abs(s.label_histogram / s.indices.size - prior).sum()
                 for s in shards
@@ -198,9 +197,8 @@ def test_concentration_monotonicity_synthetic():
 
 def test_partition_determinism():
     ds = synth_dataset(300, 4)
-    cfg = PartitionConfig(7, 0.5, seed=11)
-    a = dirichlet_partition(ds, cfg)
-    b = dirichlet_partition(ds, cfg)
+    a = dirichlet_partition(ds, 7, 0.5, 11)
+    b = dirichlet_partition(ds, 7, 0.5, 11)
     for x, y in zip(a, b):
         assert np.array_equal(x.indices, y.indices)
 
@@ -239,7 +237,7 @@ def test_split_proxy_stratified_count():
 
 def test_iterate_batches_sizes_and_conservation():
     ds = synth_dataset(200, 9)
-    shards = dirichlet_partition(ds, PartitionConfig(2, 1.0, seed=0))
+    shards = dirichlet_partition(ds, 2, 1.0, 0)
     shard = shards[0]
     if shard.indices.size < 110:
         shard = shards[1]
@@ -253,7 +251,7 @@ def test_iterate_batches_sizes_and_conservation():
 
 def test_iterate_batches_determinism():
     ds = synth_dataset(120, 10)
-    (shard,) = dirichlet_partition(ds, PartitionConfig(1, 1.0, seed=0))
+    (shard,) = dirichlet_partition(ds, 1, 1.0, 0)
     a = [b.labels for b in iterate_batches(ds, shard, 32, seed=5)]
     b = [b.labels for b in iterate_batches(ds, shard, 32, seed=5)]
     c = [b.labels for b in iterate_batches(ds, shard, 32, seed=6)]

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from fedte.data import PartitionConfig, dirichlet_partition
+from fedte.data import dirichlet_partition
 from fedte.errors import ConfigError, DivergenceError
 from fedte.nn import Network
 from fedte.orchestrator import (
-    AlgorithmVariant,
+    FedConfig,
     aggregate,
     evaluate,
     local_train,
@@ -35,14 +35,30 @@ def test_select_clients_deterministic_and_valid():
 
 def test_variant_validation():
     with pytest.raises(ConfigError):
-        AlgorithmVariant("fedsgd")
+        FedConfig(variant="fedsgd")
     with pytest.raises(ConfigError):
-        AlgorithmVariant("fedprox", alpha=-1)
+        FedConfig(variant="fedprox", alpha=-1)
     with pytest.raises(ConfigError):
-        AlgorithmVariant("fedprox-te", beta=1.0)
-    assert AlgorithmVariant("fedcl-te", 0.1, 0.6).uses_fisher
-    assert AlgorithmVariant("fedcl-te", 0.1, 0.6).uses_ensemble
-    assert not AlgorithmVariant("fedprox", 1.0).uses_ensemble
+        FedConfig(variant="fedprox-te", beta=1.0)
+    assert FedConfig(variant="fedcl-te", alpha=0.1, beta=0.6).uses_fisher
+    assert FedConfig(variant="fedcl-te", alpha=0.1, beta=0.6).uses_ensemble
+    assert not FedConfig(variant="fedprox", alpha=1.0).uses_ensemble
+    assert not FedConfig(variant="fedprox").uses_fisher
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("alpha", float("nan"), "alpha"), ("alpha", float("inf"), "alpha"),
+    ("beta", float("nan"), "beta"), ("beta", -0.1, "beta"),
+    ("ratio", 0.0, "ratio"), ("ratio", float("nan"), "ratio"),
+    ("clients", 0, "clients"), ("epochs", 0, "epochs"), ("batch", 0, "batch"),
+    ("rounds", 0, "rounds"), ("fisher_samples", -3, "fisher_samples"),
+    ("seed", -1, "seed"),
+    ("lr", 0.0, "lr schedule"), ("lr", float("nan"), "lr schedule"),
+    ("lr", float("inf"), "lr schedule"), ("lr_decay", 1.5, "lr schedule"),
+])
+def test_fed_config_rejects_each_bad_option(field, value, named):
+    with pytest.raises(ConfigError, match=named):
+        FedConfig(**{field: value})
 
 
 def test_aggregate_arithmetic():
@@ -95,7 +111,7 @@ def test_local_train_replay_matches_manual_loop():
 
     ds = synth_dataset(100, 0)
     net = Network(tiny_spec())
-    (shard,) = dirichlet_partition(ds, PartitionConfig(1, 1.0, seed=0))
+    (shard,) = dirichlet_partition(ds, 1, 1.0, 0)
     g = net.init_params(0)
     penalty = Prox(0.3, g)
     out, n_k = local_train(net, g, ds, shard, penalty, epochs=2, batch_size=50,
@@ -116,7 +132,7 @@ def test_local_train_replay_matches_manual_loop():
 def test_strong_anchor_pins_parameters():
     ds = synth_dataset(60, 1)
     net = Network(tiny_spec())
-    (shard,) = dirichlet_partition(ds, PartitionConfig(1, 1.0, seed=1))
+    (shard,) = dirichlet_partition(ds, 1, 1.0, 1)
     g = net.init_params(1)
     out, _ = local_train(net, g, ds, shard, Prox(1e6, g), epochs=1,
                          batch_size=20, lr=1e-7, seed=(0,))
@@ -127,7 +143,7 @@ def test_strong_anchor_pins_parameters():
 def test_local_train_divergence_error():
     ds = synth_dataset(40, 2)
     net = Network(tiny_spec())
-    (shard,) = dirichlet_partition(ds, PartitionConfig(1, 1.0, seed=2))
+    (shard,) = dirichlet_partition(ds, 1, 1.0, 2)
     g = np.full(net.n_params, np.float32(1e30))
     with pytest.raises(DivergenceError) as err:
         local_train(net, g, ds, shard, None, epochs=1, batch_size=20,
