@@ -50,8 +50,8 @@ def pca_trajectory(models, rounds=None):
     Component signs are fixed by making the first nonzero loading positive.
     Degenerate directions (zero variance) yield zero components/projections.
     """
-    x = np.asarray([np.asarray(m, dtype=np.float64) for m in models])
-    t, p = x.shape
+    xc = np.array(models, dtype=np.float64)  # one (T, P) copy, centered in place
+    t, p = xc.shape
     if t < 3:
         raise ConfigError(f"need at least 3 models for a trajectory, got {t}")
     if rounds is None:
@@ -59,7 +59,7 @@ def pca_trajectory(models, rounds=None):
     if len(rounds) != t:
         raise ConfigError("rounds list must match number of models")
 
-    xc = x - x.mean(axis=0)
+    xc -= xc.mean(axis=0)
     gram = xc @ xc.T
     evals, evecs = np.linalg.eigh(gram)
     order = np.argsort(evals)[::-1]

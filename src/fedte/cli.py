@@ -45,6 +45,10 @@ FAMILY_KEYS = (
     "dataset", "gamma", "clients", "ratio", "epochs", "batch", "rounds",
     "lr", "lr_decay", "proxy_fraction", "limit_train", "limit_test", "window",
 )
+# config keys that must also agree among the summaries of one variant that
+# reads them, whose median would otherwise pool different penalty weights,
+# momenta or Fisher sizes
+VARIANT_KEYS = ("alpha", "beta", "fisher_samples")
 SUMMARY_KEYS = ("variant", "seed", "accuracy", "converged_accuracy")
 
 
@@ -321,10 +325,31 @@ def _load_summary(path):
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: not a summary with a 'config' object")
     missing = [k for k in SUMMARY_KEYS if k not in summary]
-    missing += [f"config.{k}" for k in FAMILY_KEYS if k not in config]
+    missing += [f"config.{k}" for k in FAMILY_KEYS + VARIANT_KEYS if k not in config]
     if missing:
         raise ConfigError(f"{path}: missing {', '.join(missing)}")
     return summary
+
+
+def _disagreement(pairs, keys):
+    """Why the (path, summary) pairs differ in a config key of `keys`, or None."""
+    (path0, first), rest = pairs[0], pairs[1:]
+    for path, summary in rest:
+        diff = {k: (first["config"][k], summary["config"][k]) for k in keys
+                if summary["config"][k] != first["config"][k]}
+        if diff:
+            return f"{path} is not config-compatible with {path0}: {diff}"
+    return None
+
+
+def _variant_keys(variant):
+    """The keys of VARIANT_KEYS that runs of `variant` read; all if it is unknown."""
+    if variant not in VARIANT_KINDS:
+        return VARIANT_KEYS
+    cfg = FedConfig(variant=variant)
+    reads = {"alpha": variant != "fedavg", "beta": cfg.uses_ensemble,
+             "fisher_samples": cfg.uses_fisher}
+    return tuple(k for k in VARIANT_KEYS if reads[k])
 
 
 def cmd_compare(args):
@@ -338,19 +363,18 @@ def cmd_compare(args):
         print("error: need at least two summaries", file=sys.stderr)
         return 2
 
-    base_cfg = {k: summaries[0]["config"][k] for k in FAMILY_KEYS}
-    for path, summary in zip(args.summaries[1:], summaries[1:]):
-        cfg = {k: summary["config"][k] for k in FAMILY_KEYS}
-        if cfg != base_cfg:
-            diff = {k: (base_cfg[k], cfg[k]) for k in FAMILY_KEYS
-                    if cfg[k] != base_cfg[k]}
-            print(f"error: {path} is not config-compatible with "
-                  f"{args.summaries[0]}: {diff}", file=sys.stderr)
+    pairs = list(zip(args.summaries, summaries))
+    groups = {}
+    for path, summary in pairs:
+        groups.setdefault(summary["variant"], []).append((path, summary))
+    checks = [(pairs, FAMILY_KEYS)] + [(group, _variant_keys(variant))
+                                       for variant, group in groups.items()]
+    for group, keys in checks:
+        problem = _disagreement(group, keys)
+        if problem:
+            print(f"error: {problem}", file=sys.stderr)
             return 2
-
-    by_variant = {}
-    for summary in summaries:
-        by_variant.setdefault(summary["variant"], []).append(summary)
+    by_variant = {v: [s for _, s in group] for v, group in groups.items()}
 
     report = {"thresholds": thresholds, "variants": {}, "reductions": {}}
     print(f"{'variant':<12} {'seeds':>5} " +

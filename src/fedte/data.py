@@ -53,6 +53,11 @@ def _class_labels(raw, path):
     return raw.astype(np.int64)
 
 
+def _pixels(raw):
+    """uint8 pixels as float32 in [0, 1], made without a float32 temporary."""
+    return np.divide(raw, np.float32(255), dtype=np.float32)
+
+
 def load_idx(images_path, labels_path):
     """Read an MNIST-style IDX image/label file pair into a Dataset."""
     with _open_maybe_gzip(images_path) as f:
@@ -80,8 +85,7 @@ def load_idx(images_path, labels_path):
             f"count mismatch: {n} images in {images_path} vs "
             f"{n_labels} labels in {labels_path}"
         )
-    images = np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, h, w)
-    images = images.astype(np.float32) / 255.0
+    images = _pixels(np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, h, w))
     labels = _class_labels(np.frombuffer(label_raw, dtype=np.uint8), labels_path)
     return Dataset(images, labels)
 
@@ -98,7 +102,7 @@ def load_cifar10(batch_paths):
             )
         rec = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
         labels.append(_class_labels(rec[:, 0], path))
-        images.append(rec[:, 1:].reshape(-1, 3, 32, 32).astype(np.float32) / 255.0)
+        images.append(_pixels(rec[:, 1:].reshape(-1, 3, 32, 32)))
     return Dataset(np.concatenate(images), np.concatenate(labels))
 
 

@@ -3,8 +3,15 @@
 The loop is fully deterministic given the config seed. Every random stream is
 derived from (seed, purpose-code, ...) tuples so that paired runs of different
 algorithm variants share client selections, partitions and batch orders.
+
+A round's selected clients train concurrently, each from the same global
+model, on up to one thread per usable CPU when BLAS runs one thread per call:
+the calling thread and a pool opened for the run. Their models are aggregated
+in selection order, so the thread count changes no result.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -93,11 +100,15 @@ class RoundState:
     records: list  # one RoundRecord per completed round: its length is the round index
 
 
+def _selection_size(clients, ratio):
+    return max(int(np.floor(ratio * clients)), 1)
+
+
 def select_clients(clients, ratio, round_idx, seed):
     """Uniform sample of max(floor(ratio*clients), 1) ids, without replacement."""
     if clients < 1 or not (0 < ratio <= 1):
         raise ConfigError(f"invalid selection parameters K={clients} C={ratio}")
-    m = max(int(np.floor(ratio * clients)), 1)
+    m = _selection_size(clients, ratio)
     rng = np.random.default_rng((seed, _SEED_SELECT, round_idx))
     return sorted(int(c) for c in rng.choice(clients, size=m, replace=False))
 
@@ -166,43 +177,87 @@ def prepare(cfg, train, net):
     return RoundState(train_main, proxy, shards, global_params, global_params, tracker, [])
 
 
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blas_threads():
+    """BLAS threads per call as the environment sets them, in OpenBLAS's order
+    of precedence; None if unset."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return None
+
+
+def _client_threads(cfg):
+    """Threads to train a round's clients on: one per usable CPU, at most one
+    per selected client, if BLAS runs one thread per call. Otherwise one:
+    client threads that each start multithreaded BLAS calls oversubscribe
+    the CPUs, which made rounds slower than training clients one at a time."""
+    if _blas_threads() != 1:
+        return 1
+    return min(_usable_cpus(), _selection_size(cfg.clients, cfg.ratio))
+
+
+def _train_all(pool, train, selected):
+    """[train(k) for k in selected], the first error in selection order raised.
+
+    This thread trains the first client while the pool trains the others.
+    """
+    if pool is None:
+        return [train(k) for k in selected]
+    rest = [pool.submit(train, k) for k in selected[1:]]
+    first = train(selected[0])
+    return [first] + [job.result() for job in rest]
+
+
 def run_experiment(cfg, state, test, net, fisher_fn=None, on_round=None):
     """Advance `state` from `prepare` to round `cfg.rounds`; returns its records.
 
     `fisher_fn(net, params, proxy, max_samples, seed)` may be overridden for
-    testing; `on_round` is called with the RoundState after each round.
+    testing; `on_round` is called with the RoundState after each round. The
+    client pool is shut down before this returns or raises.
     """
     if fisher_fn is None:
         fisher_fn = penalties.fisher_diag
+    threads = _client_threads(cfg)
+    pool = (ThreadPoolExecutor(threads - 1, thread_name_prefix="fedte-client")
+            if threads > 1 else None)
+    try:
+        for t in range(len(state.records) + 1, cfg.rounds + 1):
+            lr = lr_at_round(t, cfg.lr, cfg.lr_decay)
+            selected = select_clients(cfg.clients, cfg.ratio, t, cfg.seed)
 
-    for t in range(len(state.records) + 1, cfg.rounds + 1):
-        lr = lr_at_round(t, cfg.lr, cfg.lr_decay)
-        selected = select_clients(cfg.clients, cfg.ratio, t, cfg.seed)
+            if cfg.variant == "fedavg":
+                penalty = None
+            elif cfg.uses_fisher:
+                fisher = fisher_fn(net, state.target, state.proxy, cfg.fisher_samples,
+                                   (cfg.seed, _SEED_FISHER, t))
+                penalty = penalties.FisherDiag(cfg.alpha, state.target, fisher)
+            else:
+                penalty = penalties.Prox(cfg.alpha, state.target)
 
-        if cfg.variant == "fedavg":
-            penalty = None
-        elif cfg.uses_fisher:
-            fisher = fisher_fn(net, state.target, state.proxy, cfg.fisher_samples,
-                               (cfg.seed, _SEED_FISHER, t))
-            penalty = penalties.FisherDiag(cfg.alpha, state.target, fisher)
-        else:
-            penalty = penalties.Prox(cfg.alpha, state.target)
+            def train(k):
+                return local_train(
+                    net, state.global_params, state.train, state.shards[k], penalty,
+                    cfg.epochs, cfg.batch, lr,
+                    seed=(cfg.seed, _SEED_BATCH, t, k), round_idx=t, client_id=k,
+                )
 
-        models, counts = [], []
-        for k in selected:
-            local_params, n_k = local_train(
-                net, state.global_params, state.train, state.shards[k], penalty,
-                cfg.epochs, cfg.batch, lr,
-                seed=(cfg.seed, _SEED_BATCH, t, k), round_idx=t, client_id=k,
-            )
-            models.append(local_params)
-            counts.append(n_k)
-        state.global_params = aggregate(models, counts)
-        state.target = (state.tracker.update(state.global_params) if state.tracker
-                        else state.global_params)
+            models, counts = zip(*_train_all(pool, train, selected))
+            state.global_params = aggregate(models, counts)
+            state.target = (state.tracker.update(state.global_params) if state.tracker
+                            else state.global_params)
 
-        accuracy, loss = evaluate(net, state.global_params, test)
-        state.records.append(RoundRecord(t, selected, accuracy, loss, lr))
-        if on_round is not None:
-            on_round(state)
-    return state.records
+            accuracy, loss = evaluate(net, state.global_params, test)
+            state.records.append(RoundRecord(t, selected, accuracy, loss, lr))
+            if on_round is not None:
+                on_round(state)
+        return state.records
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)

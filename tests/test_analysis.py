@@ -75,6 +75,41 @@ def test_pca_matches_direct_eigendecomposition(seed):
     assert np.allclose(traj.explained_variance_ratio, direct_ratio, atol=1e-8)
 
 
+def reference_pca_points(models):
+    """The PCA's former formula, with a float64 copy of each model, a stacked
+    copy and a centered copy: the oracle of the in-place centering."""
+    x = np.asarray([np.asarray(m, dtype=np.float64) for m in models])
+    xc = x - x.mean(axis=0)
+    evals, evecs = np.linalg.eigh(xc @ xc.T)
+    order = np.argsort(evals)[::-1]
+    total = float(np.clip(evals, 0, None).sum())
+    components, projections = np.zeros((2, x.shape[1])), np.zeros((2, len(x)))
+    for out_i, ev_i in enumerate(order[:2]):
+        lam = max(float(evals[ev_i]), 0.0)
+        if lam > 1e-12 * max(total, 1e-300):
+            v = xc.T @ evecs[:, ev_i] / np.sqrt(lam)
+            nz = np.flatnonzero(np.abs(v) > 1e-12)
+            if nz.size and v[nz[0]] < 0:
+                v = -v
+            components[out_i] = v
+            projections[out_i] = xc @ v
+    return projections.T, components
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("seed", range(3))
+def test_pca_equals_former_formula_and_leaves_models_alone(dtype, seed):
+    rng = np.random.default_rng(seed)
+    models = [rng.normal(size=500).astype(dtype) for _ in range(7)]
+    before = [m.copy() for m in models]
+    traj = pca_trajectory(models)
+    points, components = reference_pca_points(models)
+    assert np.array_equal(np.array([[x, y] for _, x, y in traj.points]), points)
+    assert np.array_equal(traj.components, components)
+    for m, b in zip(models, before):
+        assert m.dtype == dtype and np.array_equal(m, b)
+
+
 def test_pca_components_orthonormal():
     rng = np.random.default_rng(3)
     models = [rng.normal(size=300) for _ in range(10)]

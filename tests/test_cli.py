@@ -170,6 +170,45 @@ def test_compare_refuses_mismatched_configs(tmp_path, capsys, key):
     assert "not config-compatible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("variant, key, values", [
+    ("fedprox", "alpha", (1.0, 0.001, 1.0)),
+    ("fedprox-te", "beta", (0.2, 0.6, 0.2)),
+    ("fedcl", "fisher_samples", (1024, 16, 1024)),
+])
+def test_compare_refuses_one_variant_with_different_settings(tmp_path, capsys,
+                                                             variant, key, values):
+    # a median over seeds run with different penalty weights, momenta or
+    # Fisher sizes describes no single setting
+    paths = [_write_summary(tmp_path / f"s{i}.json", variant, [0.9], seed=i,
+                            **{key: value})
+             for i, value in enumerate(values)]
+    assert main(["compare", *paths]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "not config-compatible" in captured.err
+    assert key in captured.err and "s1.json" in captured.err
+
+
+@pytest.mark.parametrize("variant, unread", [
+    ("fedavg", {"alpha": 0.001, "beta": 0.6, "fisher_samples": 16}),
+    ("fedprox", {"beta": 0.6, "fisher_samples": 16}),
+    ("fedprox-te", {"fisher_samples": 16}),
+    ("fedcl", {"beta": 0.6}),
+])
+def test_compare_allows_one_variant_to_differ_in_keys_it_does_not_read(
+        tmp_path, variant, unread):
+    a = _write_summary(tmp_path / "a.json", variant, [0.9], seed=1)
+    b = _write_summary(tmp_path / "b.json", variant, [0.9], seed=2, **unread)
+    assert main(["compare", a, b]) == 0
+
+
+def test_compare_allows_different_settings_across_variants(tmp_path):
+    a = _write_summary(tmp_path / "a.json", "fedprox", [0.9], alpha=0.01)
+    b = _write_summary(tmp_path / "b.json", "fedprox-te", [0.9], alpha=1.0,
+                       beta=0.6, fisher_samples=16)
+    assert main(["compare", a, b]) == 0
+
+
 def test_run_empty_seed_list_is_an_error(data_dir, tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli(data_dir, out, "--variant", "fedavg", "--seed", "") == 1

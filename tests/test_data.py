@@ -108,6 +108,24 @@ def test_cifar_single_record(tmp_path):
     assert ds.images.max() <= 1.0
 
 
+def test_pixels_equal_float32_cast_divided_by_255(tmp_path):
+    # the loaders divide in one pass; the values are those of the two-pass
+    # astype(np.float32) / 255.0 for every byte value
+    every = np.arange(256, dtype=np.uint8)
+    images = np.tile(every, 4).reshape(4, 16, 16)
+    ds = load_idx(*write_idx_pair(tmp_path, images, np.arange(4, dtype=np.uint8)))
+    expected = images[:, None].astype(np.float32) / 255.0
+    assert ds.images.dtype == np.float32
+    assert np.array_equal(ds.images.view(np.uint32), expected.view(np.uint32))
+
+    path = tmp_path / "batch.bin"
+    path.write_bytes(bytes([6]) + every.tobytes() * 12)
+    cifar = load_cifar10([str(path)])
+    expected = np.tile(every, 12).reshape(1, 3, 32, 32).astype(np.float32) / 255.0
+    assert cifar.images.dtype == np.float32
+    assert np.array_equal(cifar.images.view(np.uint32), expected.view(np.uint32))
+
+
 def test_cifar_truncated_record(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"\x00" * (CIFAR_RECORD_BYTES - 1))

@@ -1,11 +1,18 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from fedte.data import dirichlet_partition
+from fedte.data import Dataset, dirichlet_partition, iterate_batches
 from fedte.errors import ConfigError, DivergenceError
-from fedte.nn import Network
+from fedte.nn import Network, lr_at_round
 from fedte.orchestrator import (
+    _SEED_BATCH,
+    _SEED_FISHER,
     FedConfig,
+    RoundRecord,
     aggregate,
     evaluate,
     local_train,
@@ -13,7 +20,7 @@ from fedte.orchestrator import (
     run_experiment,
     select_clients,
 )
-from fedte.penalties import Prox
+from fedte.penalties import FisherDiag, Prox, fisher_diag
 
 from conftest import make_variant, run_fed, runs_equal, synth_dataset, tiny_cfg, tiny_spec
 
@@ -216,3 +223,198 @@ def test_evaluate_empty_dataset_raises():
     net = Network(tiny_spec())
     with pytest.raises(ConfigError):
         evaluate(net, net.init_params(0), synth_dataset(0, 0))
+
+
+# -- concurrent clients ------------------------------------------------------
+
+def three_client_cfg(kind, **overrides):
+    """A -TE config that selects 3 of 6 clients per round."""
+    return tiny_cfg(make_variant(kind, alpha=0.5, beta=0.4), clients=6, ratio=0.5,
+                    **overrides)
+
+
+def use_cpus(monkeypatch, cpus):
+    """Make `cpus` CPUs usable to run_experiment, with one BLAS thread per
+    call as the environment sets it; None leaves the host's CPU count."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+
+
+def sequential_run(cfg, train, test, net):
+    """A -TE run as one plain loop of local_train and aggregate per round."""
+    state = prepare(cfg, train, net)
+    records, models = [], []
+    for t in range(1, cfg.rounds + 1):
+        lr = lr_at_round(t, cfg.lr, cfg.lr_decay)
+        selected = select_clients(cfg.clients, cfg.ratio, t, cfg.seed)
+        if cfg.uses_fisher:
+            fisher = fisher_diag(net, state.target, state.proxy, cfg.fisher_samples,
+                                 (cfg.seed, _SEED_FISHER, t))
+            penalty = FisherDiag(cfg.alpha, state.target, fisher)
+        else:
+            penalty = Prox(cfg.alpha, state.target)
+        trained = [
+            local_train(net, state.global_params, state.train, state.shards[k], penalty,
+                        cfg.epochs, cfg.batch, lr, seed=(cfg.seed, _SEED_BATCH, t, k),
+                        round_idx=t, client_id=k)
+            for k in selected
+        ]
+        state.global_params = aggregate([p for p, _ in trained], [n for _, n in trained])
+        state.target = state.tracker.update(state.global_params)
+        accuracy, loss = evaluate(net, state.global_params, test)
+        records.append(RoundRecord(t, selected, accuracy, loss, lr))
+        models.append(state.global_params.copy())
+    return records, models
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 2, 8], ids=["host", "1cpu", "2cpu", "8cpu"])
+@pytest.mark.parametrize("kind", ["fedprox-te", "fedcl-te"])
+def test_concurrent_clients_equal_sequential_loop(monkeypatch, kind, cpus):
+    use_cpus(monkeypatch, cpus)
+    train, test = synth_dataset(300, 10), synth_dataset(100, 11)
+    net = Network(tiny_spec())
+    cfg = three_client_cfg(kind)
+    got = run_fed(cfg, train, test, net)
+    expected = sequential_run(cfg, train, test, net)
+    assert all(len(r.selected) == 3 for r in got[0])
+    assert [r.lr for r in got[0]] == [r.lr for r in expected[0]]
+    assert runs_equal(got, expected)
+
+
+def test_more_client_threads_than_cores_equal_sequential_loop(monkeypatch):
+    # 12 clients on 12 threads, switching every 10 us: a client that read
+    # another's batch, penalty or result would break the bitwise equality
+    use_cpus(monkeypatch, 16)
+    train, test = synth_dataset(300, 16), synth_dataset(100, 17)
+    net = Network(tiny_spec())
+    cfg = tiny_cfg(make_variant("fedprox-te", alpha=0.5, beta=0.4), clients=12,
+                   ratio=1.0, rounds=2)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = run_fed(cfg, train, test, net)
+    finally:
+        sys.setswitchinterval(switch)
+    assert all(len(r.selected) == 12 for r in got[0])
+    assert runs_equal(got, sequential_run(cfg, train, test, net))
+
+
+def poisoned_state(cfg, train, net):
+    """Round 1's state with NaN pixels: the 3rd selected client diverges at step
+    0 and the 2nd at the last step of its first epoch. Returns (state, 2nd
+    client, its failing step)."""
+    state = prepare(cfg, train, net)
+    _, second, third = select_clients(cfg.clients, cfg.ratio, 1, cfg.seed)
+    # a dataset whose images are their own row numbers gives the batch order
+    rows = Dataset(np.arange(len(state.train), dtype=np.float32).reshape(-1, 1, 1, 1),
+                   state.train.labels)
+    batches = list(iterate_batches(rows, state.shards[second], cfg.batch,
+                                   seed=(cfg.seed, _SEED_BATCH, 1, second, 0)))
+    state.train.images[int(batches[-1].inputs[0, 0, 0, 0])] = np.nan
+    state.train.images[state.shards[third].indices] = np.nan
+    return state, second, len(batches) - 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("cpus", [None, 1, 2, 8], ids=["host", "1cpu", "2cpu", "8cpu"])
+def test_first_diverging_client_in_selection_order_is_reported(monkeypatch, cpus):
+    use_cpus(monkeypatch, cpus)
+    train, test = synth_dataset(300, 12), synth_dataset(100, 13)
+    net = Network(tiny_spec())
+    cfg = three_client_cfg("fedprox-te", batch=16, rounds=2)
+
+    state, second, step = poisoned_state(cfg, train, net)
+    penalty = Prox(cfg.alpha, state.target)
+    lr = lr_at_round(1, cfg.lr, cfg.lr_decay)
+    with pytest.raises(DivergenceError) as sequential:
+        for k in select_clients(cfg.clients, cfg.ratio, 1, cfg.seed):
+            local_train(net, state.global_params, state.train, state.shards[k], penalty,
+                        cfg.epochs, cfg.batch, lr, seed=(cfg.seed, _SEED_BATCH, 1, k),
+                        round_idx=1, client_id=k)
+    assert (sequential.value.client_id, sequential.value.step) == (second, step)
+    assert step > 0  # the 3rd client fails at step 0, so a mix-up would show
+
+    state, _, _ = poisoned_state(cfg, train, net)
+    with pytest.raises(DivergenceError) as err:
+        run_experiment(cfg, state, test, net)
+    assert (err.value.round_idx, err.value.client_id, err.value.step) == (1, second, step)
+    assert state.records == []
+
+
+class Stop(Exception):
+    pass
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_no_client_thread_outlives_run_experiment(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    train, test = synth_dataset(300, 14), synth_dataset(100, 15)
+    net = Network(tiny_spec())
+    cfg = three_client_cfg("fedprox-te", batch=16, rounds=2)
+    before = set(threading.enumerate())
+    alive = []
+
+    def on_round(state):
+        alive.append(len(set(threading.enumerate()) - before))
+
+    run_experiment(cfg, prepare(cfg, train, net), test, net, on_round=on_round)
+    assert alive == [1, 1]  # one pool thread next to this one, for the whole run
+    assert set(threading.enumerate()) == before
+
+    state, _, _ = poisoned_state(cfg, train, net)
+    with pytest.raises(DivergenceError):
+        run_experiment(cfg, state, test, net)
+    assert set(threading.enumerate()) == before
+
+    def stop(state):
+        raise Stop
+
+    with pytest.raises(Stop):
+        run_experiment(cfg, prepare(cfg, train, net), test, net, on_round=stop)
+    assert set(threading.enumerate()) == before
+
+
+def pool_threads(monkeypatch, blas_env):
+    """Threads beside this one while a run of 3 selected clients on 8 usable
+    CPUs trains, with only `blas_env` of the BLAS thread variables set."""
+    use_cpus(monkeypatch, 8)
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in blas_env.items():
+        monkeypatch.setenv(name, value)
+    train, test = synth_dataset(300, 18), synth_dataset(100, 19)
+    net = Network(tiny_spec())
+    cfg = three_client_cfg("fedprox-te", rounds=1)
+    before = set(threading.enumerate())
+    alive = []
+
+    def on_round(state):
+        alive.append(len(set(threading.enumerate()) - before))
+
+    run_experiment(cfg, prepare(cfg, train, net), test, net, on_round=on_round)
+    return alive[0]
+
+
+@pytest.mark.parametrize("blas_env", [
+    {},
+    {"OPENBLAS_NUM_THREADS": "2"},
+    {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"},
+    {"OMP_NUM_THREADS": "0"},
+], ids=["unset", "openblas2", "openblas-over-omp", "omp0"])
+def test_clients_train_one_at_a_time_unless_blas_runs_one_thread(monkeypatch,
+                                                                  blas_env):
+    # client threads that each start multithreaded BLAS calls oversubscribe
+    # the CPUs, so only a BLAS thread count of one gets a pool
+    assert pool_threads(monkeypatch, blas_env) == 0
+
+
+@pytest.mark.parametrize("blas_env", [
+    {"OPENBLAS_NUM_THREADS": "1"},
+    {"OMP_NUM_THREADS": "1"},
+    {"GOTO_NUM_THREADS": " 1 ", "OMP_NUM_THREADS": "4"},
+], ids=["openblas1", "omp1", "goto-over-omp"])
+def test_clients_train_concurrently_when_blas_runs_one_thread(monkeypatch, blas_env):
+    # this thread trains the 1st of 3 selected clients, two pool threads the rest
+    assert pool_threads(monkeypatch, blas_env) == 2
