@@ -24,6 +24,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
 
+# examples per chunk of the evaluation forward's layers before the first Dense;
+# bounds their im2col copies (26 MB for conv2 of 256 MNIST-shape images)
+_FORWARD_CHUNK = 64
+
 
 @dataclass(frozen=True)
 class Conv:
@@ -192,6 +196,9 @@ class Network:
             self._slices.append(slice(len(self._params), len(self._params) + len(params)))
             self._params += params
         self.output_dim = shape[0]
+        # position of the first Dense layer: `forward` runs the layers before it in chunks
+        self._head = next((pos for pos, layer in enumerate(spec.layers)
+                           if isinstance(layer, Dense)), len(spec.layers))
         self._offsets = np.cumsum([0] + [int(np.prod(s)) for s, _ in self._params])
         self.n_params = int(self._offsets[-1])
 
@@ -220,11 +227,27 @@ class Network:
     # -- forward / backward ------------------------------------------------
 
     def forward(self, params, inputs):
-        """Logits for a batch of inputs, shape (B, output_dim)."""
-        logits, _ = self._forward(params, inputs, keep=False)
-        return logits
+        """Logits for a batch of inputs, shape (B, output_dim).
+
+        The layers before the first Dense run on `_FORWARD_CHUNK` examples at
+        a time, which bounds their im2col copies; their per-example results,
+        and so the logits, are bitwise those of one pass over the batch.
+        """
+        arrays, a = self._input(params, inputs)
+        head, c = self._head, _FORWARD_CHUNK
+        if len(a) > c:
+            a = np.concatenate([self._layers(arrays, a[i:i + c], 0, head)
+                                for i in range(0, len(a), c)])
+        else:
+            a = self._layers(arrays, a, 0, head)
+        return self._layers(arrays, a, head, len(self.spec.layers))
 
     def _forward(self, params, inputs, keep):
+        arrays, a = self._input(params, inputs)
+        caches = [] if keep else None
+        return self._layers(arrays, a, 0, len(self.spec.layers), caches), caches
+
+    def _input(self, params, inputs):
         arrays = self.unflatten(params)
         a = np.asarray(inputs, dtype=self.dtype)
         if a.shape[1:] != tuple(self.spec.input_shape):
@@ -232,13 +255,16 @@ class Network:
                 f"input shape {a.shape[1:]} does not match spec "
                 f"{self.spec.input_shape}"
             )
-        caches = []
-        for layer, sl in zip(self.spec.layers, self._slices):
-            a, cache = layer.forward(a, *arrays[sl])
-            if keep:
+        return arrays, a
+
+    def _layers(self, arrays, a, start, stop, caches=None):
+        """Layers start..stop-1 on `a`, their caches appended to `caches` if given."""
+        for pos in range(start, stop):
+            a, cache = self.spec.layers[pos].forward(a, *arrays[self._slices[pos]])
+            if caches is not None:
                 caches.append(cache)
             del cache  # free a conv's window copy before the next layer makes its own
-        return a, caches
+        return a
 
     def loss_and_grad(self, params, batch, penalty=None):
         """Mean cross-entropy (plus optional penalty) and its flat gradient."""

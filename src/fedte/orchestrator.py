@@ -4,14 +4,17 @@ The loop is fully deterministic given the config seed. Every random stream is
 derived from (seed, purpose-code, ...) tuples so that paired runs of different
 algorithm variants share client selections, partitions and batch orders.
 
-A round's selected clients train concurrently, each from the same global
-model, on up to one thread per usable CPU when BLAS runs one thread per call:
-the calling thread and a pool opened for the run. Their models are aggregated
-in selection order, so the thread count changes no result.
+When BLAS runs one thread per call, each phase of a round runs its
+independent jobs on up to one thread per usable CPU, the calling thread and a
+pool opened for the run: the Fisher's 64-example chunks, the selected clients
+(largest shard first) and the evaluation's 256-image batches. Results are
+combined in a fixed order (chunk, selection, batch), so the thread count
+changes no result.
 """
 
+import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -145,20 +148,29 @@ def local_train(net, global_params, ds, shard, penalty, epochs, batch_size, lr,
     return params, int(np.asarray(shard.indices).size)
 
 
-def evaluate(net, params, ds, batch_size=256):
-    """(accuracy, mean cross-entropy) over a dataset."""
+def evaluate(net, params, ds, batch_size=256, map=map):
+    """(accuracy, mean cross-entropy) over a dataset.
+
+    `map(fn, batch starts)` runs the batches; any map that returns their
+    results in order gives the same bits as the builtin.
+    """
     n = len(ds)
     if n == 0:
         raise ConfigError("evaluation needs a non-empty dataset")
-    correct = 0
-    loss_sum = 0.0
-    for start in range(0, n, batch_size):
+
+    def batch_stats(start):
         x = ds.images[start:start + batch_size]
         y = ds.labels[start:start + batch_size]
         logits = net.forward(params, x)
         logp = log_softmax(logits)
-        loss_sum += float(-logp[np.arange(len(y)), y].sum())
-        correct += int((logits.argmax(axis=1) == y).sum())
+        loss = float(-logp[np.arange(len(y)), y].sum())
+        return loss, int((logits.argmax(axis=1) == y).sum())
+
+    correct = 0
+    loss_sum = 0.0
+    for batch_loss, batch_correct in map(batch_stats, range(0, n, batch_size)):
+        loss_sum += batch_loss
+        correct += batch_correct
     return correct / n, loss_sum / n
 
 
@@ -194,25 +206,52 @@ def _blas_threads():
 
 
 def _client_threads(cfg):
-    """Threads to train a round's clients on: one per usable CPU, at most one
-    per selected client, if BLAS runs one thread per call. Otherwise one:
-    client threads that each start multithreaded BLAS calls oversubscribe
-    the CPUs, which made rounds slower than training clients one at a time."""
+    """Threads to run a round's jobs on: one per usable CPU, at most one per
+    selected client, if BLAS runs one thread per call. Otherwise one: threads
+    that each start multithreaded BLAS calls oversubscribe the CPUs, which
+    made rounds slower than training clients one at a time."""
     if _blas_threads() != 1:
         return 1
     return min(_usable_cpus(), _selection_size(cfg.clients, cfg.ratio))
 
 
-def _train_all(pool, train, selected):
-    """[train(k) for k in selected], the first error in selection order raised.
+def _map_in_order(pool, fn, items):
+    """map(fn, items), with `pool` running items next to this thread.
 
-    This thread trains the first client while the pool trains the others.
+    Every item goes to the pool. While the next result in item order is not
+    ready, this thread runs the next item that no pool thread has started, so
+    few results wait to be read. Results, and the first error, come in item
+    order. `pool=None` or a single item runs here, one item after another.
     """
-    if pool is None:
-        return [train(k) for k in selected]
-    rest = [pool.submit(train, k) for k in selected[1:]]
-    first = train(selected[0])
-    return [first] + [job.result() for job in rest]
+    items = list(items)
+    if pool is None or len(items) < 2:
+        yield from map(fn, items)
+        return
+    jobs = [pool.submit(fn, x) for x in items]
+    ahead = 0  # the next item this thread may take
+    try:
+        for i in range(len(jobs)):
+            ahead = max(ahead, i)
+            while not jobs[i].done() and ahead < len(jobs):
+                if jobs[ahead].cancel():  # no pool thread has started it
+                    jobs[ahead] = _run_here(fn, items[ahead])
+                ahead += 1
+            job, jobs[i] = jobs[i], None  # keep no result once it is read
+            yield job.result()
+    finally:
+        for job in jobs[ahead:]:
+            if job is not None:
+                job.cancel()
+
+
+def _run_here(fn, x):
+    """A finished Future of fn(x), run on this thread."""
+    job = Future()
+    try:
+        job.set_result(fn(x))
+    except Exception as err:
+        job.set_exception(err)
+    return job
 
 
 def run_experiment(cfg, state, test, net, fisher_fn=None, on_round=None):
@@ -220,13 +259,14 @@ def run_experiment(cfg, state, test, net, fisher_fn=None, on_round=None):
 
     `fisher_fn(net, params, proxy, max_samples, seed)` may be overridden for
     testing; `on_round` is called with the RoundState after each round. The
-    client pool is shut down before this returns or raises.
+    run's pool is shut down before this returns or raises.
     """
-    if fisher_fn is None:
-        fisher_fn = penalties.fisher_diag
     threads = _client_threads(cfg)
-    pool = (ThreadPoolExecutor(threads - 1, thread_name_prefix="fedte-client")
+    pool = (ThreadPoolExecutor(threads - 1, thread_name_prefix="fedte-pool")
             if threads > 1 else None)
+    pool_map = functools.partial(_map_in_order, pool)
+    if fisher_fn is None:
+        fisher_fn = functools.partial(penalties.fisher_diag, map=pool_map)
     try:
         for t in range(len(state.records) + 1, cfg.rounds + 1):
             lr = lr_at_round(t, cfg.lr, cfg.lr_decay)
@@ -242,18 +282,28 @@ def run_experiment(cfg, state, test, net, fisher_fn=None, on_round=None):
                 penalty = penalties.Prox(cfg.alpha, state.target)
 
             def train(k):
-                return local_train(
-                    net, state.global_params, state.train, state.shards[k], penalty,
-                    cfg.epochs, cfg.batch, lr,
-                    seed=(cfg.seed, _SEED_BATCH, t, k), round_idx=t, client_id=k,
-                )
+                try:
+                    return local_train(
+                        net, state.global_params, state.train, state.shards[k], penalty,
+                        cfg.epochs, cfg.batch, lr,
+                        seed=(cfg.seed, _SEED_BATCH, t, k), round_idx=t, client_id=k,
+                    )
+                except DivergenceError as err:
+                    return err  # raised below, in selection order
 
-            models, counts = zip(*_train_all(pool, train, selected))
+            # largest shard first (Graham's LPT rule), so a round does not end
+            # with one thread training a large shard while the others idle
+            order = sorted(selected, key=lambda k: (-state.shards[k].indices.size, k))
+            trained = dict(zip(order, pool_map(train, order)))
+            for k in selected:
+                if isinstance(trained[k], DivergenceError):
+                    raise trained[k]
+            models, counts = zip(*(trained[k] for k in selected))
             state.global_params = aggregate(models, counts)
             state.target = (state.tracker.update(state.global_params) if state.tracker
                             else state.global_params)
 
-            accuracy, loss = evaluate(net, state.global_params, test)
+            accuracy, loss = evaluate(net, state.global_params, test, map=pool_map)
             state.records.append(RoundRecord(t, selected, accuracy, loss, lr))
             if on_round is not None:
                 on_round(state)

@@ -11,7 +11,9 @@ per-example gradients of the cross-entropy on a proxy set. It runs the
 network in chunks of 64 examples, each one forward and one backward pass
 that reduces every layer's per-example gradients to a float64 sum of
 squares (`Network.squared_grad_sum`), so the estimate costs a handful of
-GEMMs rather than one pass per example.
+GEMMs rather than one pass per example. `run_experiment` spreads the chunks
+over its thread pool and adds their sums in chunk order, which keeps every
+bit of the sequential estimate.
 """
 
 from dataclasses import dataclass
@@ -54,13 +56,15 @@ class Prox(FisherDiag):
     """The proximal anchor alpha * ||w - target||^2: FisherDiag with unit weights."""
 
 
-def fisher_diag(net, params, ds, max_samples=1024, seed=0):
+def fisher_diag(net, params, ds, max_samples=1024, seed=0, map=map):
     """Empirical Fisher diagonal: mean squared per-example log-likelihood gradient.
 
     Uses the true labels of `ds` (a server-side proxy set). At most
     `max_samples` examples are used, subsampled without replacement; they
     are taken in ascending index order, in chunks of `_CHUNK`, so the
-    estimate does not depend on draw order.
+    estimate does not depend on draw order. `map(fn, chunk starts)` runs the
+    chunks; any map that returns their results in order, such as the run's
+    thread pool, gives the same bits as the builtin.
     """
     n = len(ds)
     if n == 0:
@@ -70,9 +74,13 @@ def fisher_diag(net, params, ds, max_samples=1024, seed=0):
         idx = np.sort(idx)
     else:
         idx = np.arange(n)
-    acc = np.zeros(net.n_params, dtype=np.float64)
-    for start in range(0, idx.size, _CHUNK):
+
+    def chunk(start):
         rows = idx[start:start + _CHUNK]
         # each example's cross-entropy is the negative log-likelihood of its label
-        acc += net.squared_grad_sum(params, Batch(ds.images[rows], ds.labels[rows]))
+        return net.squared_grad_sum(params, Batch(ds.images[rows], ds.labels[rows]))
+
+    acc = np.zeros(net.n_params, dtype=np.float64)
+    for part in map(chunk, range(0, idx.size, _CHUNK)):
+        acc += part  # in chunk order, whichever thread ran the chunk
     return (acc / idx.size).astype(params.dtype)

@@ -237,6 +237,27 @@ def test_conv_and_pool_outputs_are_channels_last(monkeypatch):
             assert out.transpose(0, 2, 3, 1).flags.c_contiguous
 
 
+# 1, 63, 64, 65, 256 and 300 examples fall on both sides of forward's 64-example
+# chunks; CIFAR's first conv takes the NCHW branch
+@pytest.mark.parametrize("nb", [1, 63, 64, 65, 256, 300])
+@pytest.mark.parametrize("shape", [(1, 28, 28), (3, 32, 32)])
+def test_chunked_forward_equals_whole_batch_forward(monkeypatch, shape, nb):
+    net = Network(baseline_cnn(shape))
+    params = net.init_params(nb)
+    x = np.random.default_rng(nb).random((nb, *shape)).astype(np.float32)
+    whole, _ = net._forward(params, x, keep=False)
+    seen = []  # (layer kind, batch size) of every layer call
+    for cls in (Conv, Pool, Dense):
+        def recording(self, a, *args, _forward=cls.forward, _cls=cls):
+            seen.append((_cls, len(a)))
+            return _forward(self, a, *args)
+        monkeypatch.setattr(cls, "forward", recording)
+    assert np.array_equal(net.forward(params, x), whole)
+    chunks = [min(64, nb - i) for i in range(0, nb, 64)]
+    assert seen == [(cls, c) for c in chunks for cls in (Conv, Pool, Conv, Pool)] + [
+        (Dense, nb), (Dense, nb)]
+
+
 def test_confident_correct_prediction_near_zero_loss():
     spec = ModelSpec((1, 1, 1), (Dense(2, relu=False),))
     net = Network(spec)

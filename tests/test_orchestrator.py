@@ -1,17 +1,22 @@
+import functools
 import os
 import sys
 import threading
+import weakref
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from fedte.data import Dataset, dirichlet_partition, iterate_batches
 from fedte.errors import ConfigError, DivergenceError
-from fedte.nn import Network, lr_at_round
+from fedte.nn import Network, baseline_cnn, lr_at_round
+from fedte import orchestrator
 from fedte.orchestrator import (
     _SEED_BATCH,
     _SEED_FISHER,
     FedConfig,
+    _map_in_order,
     RoundRecord,
     aggregate,
     evaluate,
@@ -343,58 +348,102 @@ def test_first_diverging_client_in_selection_order_is_reported(monkeypatch, cpus
     assert state.records == []
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("cpus", [1, 2, 8], ids=["1cpu", "2cpu", "8cpu"])
+def test_divergence_named_in_selection_order_not_start_order(monkeypatch, cpus):
+    # two diverging clients, the smaller shard first in selection order: it
+    # starts after the larger one, yet it is the one reported
+    use_cpus(monkeypatch, cpus)
+    train, test = synth_dataset(300, 12), synth_dataset(100, 13)
+    net = Network(tiny_spec())
+    cfg = three_client_cfg("fedprox-te", rounds=1)
+    state = prepare(cfg, train, net)
+    sizes = shard_sizes(state)
+    selected = select_clients(cfg.clients, cfg.ratio, 1, cfg.seed)
+    first, later = next((a, b) for i, a in enumerate(selected) for b in selected[i + 1:]
+                        if sizes[a] < sizes[b])
+    for k in (first, later):
+        state.train.images[state.shards[k].indices] = np.nan
+    with pytest.raises(DivergenceError) as err:
+        run_experiment(cfg, state, test, net)
+    assert (err.value.client_id, err.value.step) == (first, 0)
+
+
 class Stop(Exception):
     pass
+
+
+# fedcl-te with a 150-example proxy and 300 test images: the Fisher's 64-example
+# chunks and the evaluation's 256-image batches also run on the pool
+POOLED_PHASES = {"fedprox-te": {}, "fedcl-te": {"proxy_fraction": 0.5, "fisher_samples": 130}}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_no_client_thread_outlives_run_experiment(monkeypatch):
     use_cpus(monkeypatch, 2)
-    train, test = synth_dataset(300, 14), synth_dataset(100, 15)
-    net = Network(tiny_spec())
-    cfg = three_client_cfg("fedprox-te", batch=16, rounds=2)
+    train, test = synth_dataset(600, 14), synth_dataset(300, 15)
     before = set(threading.enumerate())
-    alive = []
+    for kind, phases in POOLED_PHASES.items():
+        net = Network(tiny_spec())
+        cfg = three_client_cfg(kind, batch=16, rounds=2, **phases)
+        alive = []
 
-    def on_round(state):
-        alive.append(len(set(threading.enumerate()) - before))
+        def on_round(state):
+            alive.append(len(set(threading.enumerate()) - before))
 
-    run_experiment(cfg, prepare(cfg, train, net), test, net, on_round=on_round)
-    assert alive == [1, 1]  # one pool thread next to this one, for the whole run
-    assert set(threading.enumerate()) == before
+        run_experiment(cfg, prepare(cfg, train, net), test, net, on_round=on_round)
+        assert alive == [1, 1]  # one pool thread next to this one, for the whole run
+        assert set(threading.enumerate()) == before
 
-    state, _, _ = poisoned_state(cfg, train, net)
-    with pytest.raises(DivergenceError):
-        run_experiment(cfg, state, test, net)
-    assert set(threading.enumerate()) == before
+        state, _, _ = poisoned_state(cfg, train, net)
+        with pytest.raises(DivergenceError):
+            run_experiment(cfg, state, test, net)
+        assert set(threading.enumerate()) == before
 
-    def stop(state):
+        def stop(state):
+            raise Stop
+
+        with pytest.raises(Stop):
+            run_experiment(cfg, prepare(cfg, train, net), test, net, on_round=stop)
+        assert set(threading.enumerate()) == before
+
+    # a Fisher chunk of the last run, fedcl-te's, fails on whichever thread runs it
+    assert cfg.uses_fisher
+    chunks = []
+
+    def failing_chunk(params, batch):
+        chunks.append(threading.current_thread())
         raise Stop
 
+    monkeypatch.setattr(net, "squared_grad_sum", failing_chunk)
     with pytest.raises(Stop):
-        run_experiment(cfg, prepare(cfg, train, net), test, net, on_round=stop)
+        run_experiment(cfg, prepare(cfg, train, net), test, net)
+    assert chunks
     assert set(threading.enumerate()) == before
 
 
-def pool_threads(monkeypatch, blas_env):
-    """Threads beside this one while a run of 3 selected clients on 8 usable
-    CPUs trains, with only `blas_env` of the BLAS thread variables set."""
+def pool_threads(monkeypatch, blas_env, kind="fedprox-te"):
+    """Threads beside this one after each round of a 2-round run of 3 selected
+    clients on 8 usable CPUs, with only `blas_env` of the BLAS thread
+    variables set."""
     use_cpus(monkeypatch, 8)
     for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(name, raising=False)
     for name, value in blas_env.items():
         monkeypatch.setenv(name, value)
-    train, test = synth_dataset(300, 18), synth_dataset(100, 19)
+    train, test = synth_dataset(600, 18), synth_dataset(300, 19)
     net = Network(tiny_spec())
-    cfg = three_client_cfg("fedprox-te", rounds=1)
+    cfg = three_client_cfg(kind, rounds=2, **POOLED_PHASES[kind])
     before = set(threading.enumerate())
     alive = []
 
     def on_round(state):
-        alive.append(len(set(threading.enumerate()) - before))
+        alive.append(set(threading.enumerate()) - before)
 
     run_experiment(cfg, prepare(cfg, train, net), test, net, on_round=on_round)
-    return alive[0]
+    assert alive[0] == alive[1]  # the same threads serve every round
+    assert all(t.name.startswith("fedte-pool") for t in alive[0])
+    return len(alive[0])
 
 
 @pytest.mark.parametrize("blas_env", [
@@ -416,5 +465,174 @@ def test_clients_train_one_at_a_time_unless_blas_runs_one_thread(monkeypatch,
     {"GOTO_NUM_THREADS": " 1 ", "OMP_NUM_THREADS": "4"},
 ], ids=["openblas1", "omp1", "goto-over-omp"])
 def test_clients_train_concurrently_when_blas_runs_one_thread(monkeypatch, blas_env):
-    # this thread trains the 1st of 3 selected clients, two pool threads the rest
+    # this thread and two pool threads train the 3 selected clients
     assert pool_threads(monkeypatch, blas_env) == 2
+
+
+def test_pool_thread_count_does_not_depend_on_the_first_phase(monkeypatch):
+    # fedcl-te's first pool jobs are Fisher chunks, each far shorter than a
+    # client: still one thread per submitted job up to the pool's width
+    assert pool_threads(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"}, "fedcl-te") == 2
+
+
+def shard_sizes(state):
+    return {shard.client_id: shard.indices.size for shard in state.shards}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_clients_start_largest_shard_first(monkeypatch, cpus):
+    use_cpus(monkeypatch, cpus)
+    train, test = synth_dataset(300, 20), synth_dataset(100, 21)
+    net = Network(tiny_spec())
+    cfg = three_client_cfg("fedprox-te", rounds=3)
+    submitted = []
+
+    def recording_map(pool, fn, items):
+        submitted.append(list(items))
+        return _map_in_order(pool, fn, items)
+
+    monkeypatch.setattr(orchestrator, "_map_in_order", recording_map)
+    got = run_fed(cfg, train, test, net)
+    sizes = shard_sizes(prepare(cfg, train, net))
+    orders = [order for order in submitted if len(order) == 3]  # 100 test images: one batch
+    assert len(orders) == cfg.rounds
+    for record, order in zip(got[0], orders):
+        assert sorted(order) == record.selected
+        assert order == sorted(record.selected, key=lambda k: (-sizes[k], k))
+    assert any(order != record.selected for record, order in zip(got[0], orders))
+    assert runs_equal(got, sequential_run(cfg, train, test, net))
+
+
+def test_largest_shard_first_on_one_cpu_trains_in_that_order(monkeypatch):
+    use_cpus(monkeypatch, 1)
+    train, test = synth_dataset(300, 22), synth_dataset(100, 23)
+    net = Network(tiny_spec())
+    cfg = three_client_cfg("fedprox-te", rounds=2)
+    started = []
+    train_one = orchestrator.local_train
+
+    def recording_train(*args, client_id, **kwargs):
+        started.append(client_id)
+        return train_one(*args, client_id=client_id, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "local_train", recording_train)
+    records, _ = run_fed(cfg, train, test, net)
+    sizes = shard_sizes(prepare(cfg, train, net))
+    assert started == [k for r in records
+                       for k in sorted(r.selected, key=lambda k: (-sizes[k], k))]
+
+
+# -- the ordered map -----------------------------------------------------------
+
+def test_map_in_order_returns_results_in_item_order():
+    def fn(x):
+        return x, float(np.full(500, x, np.float64).sum())
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(3) as pool:
+            got = list(_map_in_order(pool, fn, range(300)))
+    finally:
+        sys.setswitchinterval(switch)
+    assert got == [fn(x) for x in range(300)]
+
+
+def test_map_in_order_runs_items_here_while_the_pool_runs_others():
+    # item 0 waits for item 1: with the pool's one thread busy on either,
+    # only this thread can run the other
+    ran_on = {}
+    item_1_done = threading.Event()
+
+    def fn(x):
+        ran_on[x] = threading.current_thread()
+        if x == 0:
+            assert item_1_done.wait(10)
+        else:
+            item_1_done.set()
+        return x
+
+    with ThreadPoolExecutor(1) as pool:
+        assert list(_map_in_order(pool, fn, [0, 1])) == [0, 1]
+    assert threading.current_thread() in ran_on.values()
+    assert ran_on[0] is not ran_on[1]
+
+
+def test_map_in_order_raises_the_first_error_in_item_order():
+    # item 0 fails on the pool's one thread after item 1 failed on this one;
+    # item 0 yields first, so its error is raised
+    ran_on = {}
+    item_0_started, item_1_done = threading.Event(), threading.Event()
+
+    def fn(x):
+        ran_on[x] = threading.current_thread()
+        if x == 0:
+            item_0_started.set()
+            item_1_done.wait(10)
+            raise ValueError("item 0")
+        item_1_done.set()
+        raise KeyError("item 1")
+
+    with ThreadPoolExecutor(1) as pool:
+        submit = pool.submit
+
+        def submit_and_start(f, x):  # the pool starts item 0 before item 1 is sent
+            job = submit(f, x)
+            if x == 0:
+                assert item_0_started.wait(10)
+            return job
+
+        pool.submit = submit_and_start
+        results = _map_in_order(pool, fn, [0, 1])
+        with pytest.raises(ValueError, match="item 0"):
+            next(results)
+    assert ran_on[0] is not threading.current_thread()
+    assert ran_on[1] is threading.current_thread()
+
+
+class IdlePool:
+    """A pool that starts no job: this thread runs every item."""
+
+    def submit(self, fn, *args):
+        return Future()
+
+
+def test_map_in_order_keeps_no_result_once_read():
+    # a Fisher chunk's result is a model-sized float64 vector: the map must
+    # not hold every chunk's until the last is read
+    read = []
+    for result in _map_in_order(IdlePool(), np.ones, range(1, 6)):
+        assert all(ref() is None for ref in read)
+        read.append(weakref.ref(result))
+        del result
+    assert len(read) == 5
+
+
+def test_map_in_order_without_pool_or_with_one_item_runs_here_in_order():
+    calls = []
+
+    def fn(x):
+        calls.append((x, threading.current_thread()))
+        if x == "fail":
+            raise Stop
+        return x
+
+    here = threading.current_thread()
+    before = set(threading.enumerate())
+    assert list(_map_in_order(None, fn, [3, 1, 2])) == [3, 1, 2]
+    with pytest.raises(Stop):
+        list(_map_in_order(None, fn, [4, "fail", 5]))
+    with ThreadPoolExecutor(2) as pool:
+        assert list(_map_in_order(pool, fn, [6])) == [6]
+        assert set(threading.enumerate()) == before  # the pool started no thread
+    assert calls == [(x, here) for x in (3, 1, 2, 4, "fail", 6)]
+
+
+def test_pooled_evaluate_equals_sequential():
+    # 700 images: two full 256-image batches and one of 188
+    net = Network(baseline_cnn((1, 28, 28)))
+    params = net.init_params(4)
+    test = synth_dataset(700, 24, shape=(1, 28, 28))
+    with ThreadPoolExecutor(2) as pool:
+        pooled = evaluate(net, params, test, map=functools.partial(_map_in_order, pool))
+    assert pooled == evaluate(net, params, test)

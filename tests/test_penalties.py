@@ -1,9 +1,14 @@
+import functools
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from fedte.data import Dataset
 from fedte.errors import ConfigError
 from fedte.nn import Batch, Dense, ModelSpec, Network, baseline_cnn
+from fedte.orchestrator import _map_in_order
 from fedte.penalties import FisherDiag, Prox, fisher_diag
 
 from conftest import GRADCHECK_SPECS, STACKED_CONV_SPECS, synth_dataset, tiny_spec
@@ -178,3 +183,20 @@ def test_fisher_matches_loop_oracle_small_specs(spec):
         fisher_diag(net, params, ds, max_samples=n, seed=0),
         loop_fisher_diag(net, params, ds, max_samples=n, seed=0),
     )
+
+
+# 63, 65 and 300 are no multiple of the 64-example chunks: the last is short
+@pytest.mark.parametrize("samples", [63, 65, 300])
+def test_fisher_on_a_pool_equals_sequential(samples):
+    net = Network(baseline_cnn((1, 28, 28)))
+    params = net.init_params(samples)
+    ds = synth_dataset(400, samples, shape=(1, 28, 28))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            pooled = fisher_diag(net, params, ds, max_samples=samples, seed=4,
+                                 map=functools.partial(_map_in_order, pool))
+    finally:
+        sys.setswitchinterval(switch)
+    assert np.array_equal(pooled, fisher_diag(net, params, ds, max_samples=samples, seed=4))
