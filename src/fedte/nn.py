@@ -24,9 +24,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
 
-# examples per chunk of the evaluation forward's layers before the first Dense;
-# bounds their im2col copies (26 MB for conv2 of 256 MNIST-shape images)
-_FORWARD_CHUNK = 64
+# examples per chunk of the passes that build per-example buffers: the batched
+# Fisher's per-example gradients and the im2col copies of `Network.forward`'s
+# layers before the first Dense (26 MB for conv2 of 256 MNIST-shape images)
+CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -229,13 +230,13 @@ class Network:
     def forward(self, params, inputs):
         """Logits for a batch of inputs, shape (B, output_dim).
 
-        The layers before the first Dense run on `_FORWARD_CHUNK` examples at
-        a time, which bounds their im2col copies; their per-example results,
-        and so the logits, are bitwise those of one pass over the batch.
+        The layers before the first Dense run on `CHUNK` examples at a time,
+        which bounds their im2col copies; their per-example results, and so
+        the logits, are bitwise those of one pass over the batch.
         """
         arrays, a = self._input(params, inputs)
-        head, c = self._head, _FORWARD_CHUNK
-        if len(a) > c:
+        head, c = self._head, CHUNK
+        if head and len(a) > c:
             a = np.concatenate([self._layers(arrays, a[i:i + c], 0, head)
                                 for i in range(0, len(a), c)])
         else:

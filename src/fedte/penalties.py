@@ -21,10 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .nn import Batch
-
-# examples per batched Fisher pass; bounds the per-example gradient buffers
-_CHUNK = 64
+from .nn import CHUNK, Batch
 
 
 @dataclass(frozen=True)
@@ -61,7 +58,7 @@ def fisher_diag(net, params, ds, max_samples=1024, seed=0, map=map):
 
     Uses the true labels of `ds` (a server-side proxy set). At most
     `max_samples` examples are used, subsampled without replacement; they
-    are taken in ascending index order, in chunks of `_CHUNK`, so the
+    are taken in ascending index order, in chunks of `CHUNK`, so the
     estimate does not depend on draw order. `map(fn, chunk starts)` runs the
     chunks; any map that returns their results in order, such as the run's
     thread pool, gives the same bits as the builtin.
@@ -76,11 +73,11 @@ def fisher_diag(net, params, ds, max_samples=1024, seed=0, map=map):
         idx = np.arange(n)
 
     def chunk(start):
-        rows = idx[start:start + _CHUNK]
+        rows = idx[start:start + CHUNK]
         # each example's cross-entropy is the negative log-likelihood of its label
         return net.squared_grad_sum(params, Batch(ds.images[rows], ds.labels[rows]))
 
     acc = np.zeros(net.n_params, dtype=np.float64)
-    for part in map(chunk, range(0, idx.size, _CHUNK)):
+    for part in map(chunk, range(0, idx.size, CHUNK)):
         acc += part  # in chunk order, whichever thread ran the chunk
     return (acc / idx.size).astype(params.dtype)

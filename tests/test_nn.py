@@ -258,6 +258,23 @@ def test_chunked_forward_equals_whole_batch_forward(monkeypatch, shape, nb):
         (Dense, nb), (Dense, nb)]
 
 
+def test_forward_of_a_dense_first_network_does_not_chunk(monkeypatch):
+    net = Network(ModelSpec((1, 4, 4), (Dense(8), Dense(3, relu=False))))
+    params = net.init_params(0)
+    x = np.random.default_rng(0).random((300, 1, 4, 4)).astype(np.float32)
+    inputs = []
+    dense_forward = Dense.forward
+
+    def recording(self, a, *args):
+        inputs.append(a)
+        return dense_forward(self, a, *args)
+
+    monkeypatch.setattr(Dense, "forward", recording)
+    logits = net.forward(params, x)
+    assert inputs[0] is x  # no slice and concatenate copy of the batch
+    assert np.array_equal(logits, net._forward(params, x, keep=False)[0])
+
+
 def test_confident_correct_prediction_near_zero_loss():
     spec = ModelSpec((1, 1, 1), (Dense(2, relu=False),))
     net = Network(spec)

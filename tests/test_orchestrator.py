@@ -11,7 +11,6 @@ import pytest
 from fedte.data import Dataset, dirichlet_partition, iterate_batches
 from fedte.errors import ConfigError, DivergenceError
 from fedte.nn import Network, baseline_cnn, lr_at_round
-from fedte import orchestrator
 from fedte.orchestrator import (
     _SEED_BATCH,
     _SEED_FISHER,
@@ -348,27 +347,6 @@ def test_first_diverging_client_in_selection_order_is_reported(monkeypatch, cpus
     assert state.records == []
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("cpus", [1, 2, 8], ids=["1cpu", "2cpu", "8cpu"])
-def test_divergence_named_in_selection_order_not_start_order(monkeypatch, cpus):
-    # two diverging clients, the smaller shard first in selection order: it
-    # starts after the larger one, yet it is the one reported
-    use_cpus(monkeypatch, cpus)
-    train, test = synth_dataset(300, 12), synth_dataset(100, 13)
-    net = Network(tiny_spec())
-    cfg = three_client_cfg("fedprox-te", rounds=1)
-    state = prepare(cfg, train, net)
-    sizes = shard_sizes(state)
-    selected = select_clients(cfg.clients, cfg.ratio, 1, cfg.seed)
-    first, later = next((a, b) for i, a in enumerate(selected) for b in selected[i + 1:]
-                        if sizes[a] < sizes[b])
-    for k in (first, later):
-        state.train.images[state.shards[k].indices] = np.nan
-    with pytest.raises(DivergenceError) as err:
-        run_experiment(cfg, state, test, net)
-    assert (err.value.client_id, err.value.step) == (first, 0)
-
-
 class Stop(Exception):
     pass
 
@@ -473,53 +451,6 @@ def test_pool_thread_count_does_not_depend_on_the_first_phase(monkeypatch):
     # fedcl-te's first pool jobs are Fisher chunks, each far shorter than a
     # client: still one thread per submitted job up to the pool's width
     assert pool_threads(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"}, "fedcl-te") == 2
-
-
-def shard_sizes(state):
-    return {shard.client_id: shard.indices.size for shard in state.shards}
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_clients_start_largest_shard_first(monkeypatch, cpus):
-    use_cpus(monkeypatch, cpus)
-    train, test = synth_dataset(300, 20), synth_dataset(100, 21)
-    net = Network(tiny_spec())
-    cfg = three_client_cfg("fedprox-te", rounds=3)
-    submitted = []
-
-    def recording_map(pool, fn, items):
-        submitted.append(list(items))
-        return _map_in_order(pool, fn, items)
-
-    monkeypatch.setattr(orchestrator, "_map_in_order", recording_map)
-    got = run_fed(cfg, train, test, net)
-    sizes = shard_sizes(prepare(cfg, train, net))
-    orders = [order for order in submitted if len(order) == 3]  # 100 test images: one batch
-    assert len(orders) == cfg.rounds
-    for record, order in zip(got[0], orders):
-        assert sorted(order) == record.selected
-        assert order == sorted(record.selected, key=lambda k: (-sizes[k], k))
-    assert any(order != record.selected for record, order in zip(got[0], orders))
-    assert runs_equal(got, sequential_run(cfg, train, test, net))
-
-
-def test_largest_shard_first_on_one_cpu_trains_in_that_order(monkeypatch):
-    use_cpus(monkeypatch, 1)
-    train, test = synth_dataset(300, 22), synth_dataset(100, 23)
-    net = Network(tiny_spec())
-    cfg = three_client_cfg("fedprox-te", rounds=2)
-    started = []
-    train_one = orchestrator.local_train
-
-    def recording_train(*args, client_id, **kwargs):
-        started.append(client_id)
-        return train_one(*args, client_id=client_id, **kwargs)
-
-    monkeypatch.setattr(orchestrator, "local_train", recording_train)
-    records, _ = run_fed(cfg, train, test, net)
-    sizes = shard_sizes(prepare(cfg, train, net))
-    assert started == [k for r in records
-                       for k in sorted(r.selected, key=lambda k: (-sizes[k], k))]
 
 
 # -- the ordered map -----------------------------------------------------------
