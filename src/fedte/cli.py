@@ -10,6 +10,7 @@ Config files are flat `key = value` text; command-line flags win.
 
 import argparse
 import csv
+import ctypes
 import json
 import os
 import statistics
@@ -119,6 +120,26 @@ def load_dataset(dataset, data_dir):
         raise IngestionError(f"{dataset} test images in {data_dir} have shape "
                              f"{test.input_shape}, train images {train.input_shape}")
     return train, test
+
+
+# mallopt parameters of glibc's malloc.h
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _pin_malloc():
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB.
+
+    These are the values glibc's dynamic rule reaches once a 32 MiB mapped
+    block is freed. A run that freed no such block would map and unmap its
+    im2col copies and gradients again in every round (see README). A no-op
+    where mallopt cannot be found (not glibc).
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 _RUN_HELP = {
@@ -275,6 +296,7 @@ def run_single(opts, cfg, thresholds, train, test):
 
 
 def cmd_run(args):
+    _pin_malloc()  # before any data is allocated, so every block sees one setting
     try:
         opts = merge_options(args)
         thresholds = _parse_thresholds(opts["thresholds"])

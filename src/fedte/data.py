@@ -1,4 +1,9 @@
-"""Dataset ingestion (IDX, CIFAR-10 binary), Dirichlet partitioning and batching."""
+"""Dataset ingestion (IDX, CIFAR-10 binary), Dirichlet partitioning and batching.
+
+The loaders keep pixels as the file's uint8 bytes. `Dataset.pixels` converts
+the rows a reader gathers to float32 in [0, 1], elementwise, so a batch has
+the bits of one gathered from a dataset converted whole at load time.
+"""
 
 import gzip
 import struct
@@ -16,12 +21,17 @@ CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 32 * 32 pixels
 
 @dataclass
 class Dataset:
-    images: np.ndarray  # (N, C, H, W) float32 in [0, 1]
+    images: np.ndarray  # (N, C, H, W) uint8 file bytes, or float32 in [0, 1]; read by `pixels`
     labels: np.ndarray  # (N,) int64
     n_classes: int = 10
 
     def __len__(self):
         return self.images.shape[0]
+
+    def pixels(self, rows):
+        """The images at `rows` (any index) as float32 in [0, 1]."""
+        raw = self.images[rows]
+        return _pixels(raw) if raw.dtype == np.uint8 else raw
 
     def subset(self, indices):
         idx = np.asarray(indices)
@@ -54,7 +64,8 @@ def _class_labels(raw, path):
 
 
 def _pixels(raw):
-    """uint8 pixels as float32 in [0, 1], made without a float32 temporary."""
+    """uint8 pixels as float32 in [0, 1]: bitwise `raw.astype(np.float32) / 255.0`,
+    made without a float32 temporary."""
     return np.divide(raw, np.float32(255), dtype=np.float32)
 
 
@@ -85,7 +96,7 @@ def load_idx(images_path, labels_path):
             f"count mismatch: {n} images in {images_path} vs "
             f"{n_labels} labels in {labels_path}"
         )
-    images = _pixels(np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, h, w))
+    images = np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, h, w)
     labels = _class_labels(np.frombuffer(label_raw, dtype=np.uint8), labels_path)
     return Dataset(images, labels)
 
@@ -102,7 +113,7 @@ def load_cifar10(batch_paths):
             )
         rec = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
         labels.append(_class_labels(rec[:, 0], path))
-        images.append(_pixels(rec[:, 1:].reshape(-1, 3, 32, 32)))
+        images.append(rec[:, 1:].reshape(-1, 3, 32, 32))
     return Dataset(np.concatenate(images), np.concatenate(labels))
 
 
@@ -209,4 +220,4 @@ def iterate_batches(ds, shard, batch_size, seed):
     order = np.random.default_rng(seed).permutation(np.asarray(shard.indices))
     for start in range(0, order.size, batch_size):
         chunk = order[start:start + batch_size]
-        yield Batch(ds.images[chunk], ds.labels[chunk])
+        yield Batch(ds.pixels(chunk), ds.labels[chunk])

@@ -144,7 +144,7 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class Batch:
-    inputs: np.ndarray  # (B, C, H, W), values in [0, 1]
+    inputs: np.ndarray  # (B, C, H, W) float pixels in [0, 1]; `Network` rejects integers
     labels: np.ndarray  # (B,) integer class ids
 
 
@@ -250,7 +250,11 @@ class Network:
 
     def _input(self, params, inputs):
         arrays = self.unflatten(params)
-        a = np.asarray(inputs, dtype=self.dtype)
+        a = np.asarray(inputs)
+        if a.dtype.kind in "iu":  # raw 0-255 bytes, not pixels in [0, 1]
+            raise ConfigError(f"inputs must be float pixels in [0, 1], got {a.dtype}; "
+                              "convert with Dataset.pixels")
+        a = a.astype(self.dtype, copy=False)
         if a.shape[1:] != tuple(self.spec.input_shape):
             raise ConfigError(
                 f"input shape {a.shape[1:]} does not match spec "

@@ -158,7 +158,7 @@ def evaluate(net, params, ds, batch_size=256, map=map):
         raise ConfigError("evaluation needs a non-empty dataset")
 
     def batch_stats(start):
-        x = ds.images[start:start + batch_size]
+        x = ds.pixels(slice(start, start + batch_size))
         y = ds.labels[start:start + batch_size]
         logits = net.forward(params, x)
         logp = log_softmax(logits)

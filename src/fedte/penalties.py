@@ -75,7 +75,7 @@ def fisher_diag(net, params, ds, max_samples=1024, seed=0, map=map):
     def chunk(start):
         rows = idx[start:start + CHUNK]
         # each example's cross-entropy is the negative log-likelihood of its label
-        return net.squared_grad_sum(params, Batch(ds.images[rows], ds.labels[rows]))
+        return net.squared_grad_sum(params, Batch(ds.pixels(rows), ds.labels[rows]))
 
     acc = np.zeros(net.n_params, dtype=np.float64)
     for part in map(chunk, range(0, idx.size, CHUNK)):

@@ -1,10 +1,15 @@
 import argparse
+import ctypes
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
 
-from fedte.cli import DEFAULTS, build_parser, main, merge_options, parse_config_file
+import fedte
+from fedte.cli import DEFAULTS, build_parser, load_dataset, main, merge_options, parse_config_file
 from fedte.data import load_idx
 from fedte.orchestrator import VARIANT_KINDS, FedConfig
 
@@ -423,3 +428,67 @@ def test_flag_beats_config_for_every_type(tmp_path):
         True, 2, 0.01, "fedcl")
     assert merge_options(build_parser().parse_args(["run", "--config", str(cfg)]))[
         "rounds"] == 5
+
+
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's malloc.h
+
+
+class FakeLibc:
+    def __init__(self, calls):
+        self.calls = calls
+
+    def mallopt(self, param, value):
+        self.calls.append(("mallopt", param, value))
+        return 1
+
+
+def test_run_pins_malloc_thresholds_before_loading_data(data_dir, tmp_path, monkeypatch):
+    calls = []
+
+    def fake_cdll(name, *args, **kwargs):
+        calls.append(("load", name))
+        return FakeLibc(calls)
+
+    def recorded_load(*args):
+        calls.append(("load_dataset",))
+        return load_dataset(*args)
+
+    monkeypatch.setattr(ctypes, "CDLL", fake_cdll)
+    monkeypatch.setattr("fedte.cli.load_dataset", recorded_load)
+    assert run_cli(data_dir, tmp_path / "out", "--variant", "fedavg") == 0
+    assert calls == [("load", "libc.so.6"),
+                     ("mallopt", M_MMAP_THRESHOLD, 32 << 20),
+                     ("mallopt", M_TRIM_THRESHOLD, 64 << 20),
+                     ("load_dataset",)]
+
+
+class NoMallopt:
+    pass
+
+
+def no_libc(*args, **kwargs):
+    raise OSError("libc.so.6: cannot open shared object file")
+
+
+@pytest.mark.parametrize("cdll", [lambda *a, **k: NoMallopt(), no_libc],
+                         ids=["mallopt-absent", "library-fails-to-load"])
+def test_run_without_mallopt_still_runs(data_dir, tmp_path, monkeypatch, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    out = tmp_path / "out"
+    assert run_cli(data_dir, out, "--variant", "fedavg") == 0
+    assert (out / "fedavg_seed1" / "metrics.csv").exists()
+
+
+def test_importing_fedte_calls_no_library():
+    script = (
+        "import ctypes\n"
+        "calls = []\n"
+        "ctypes.CDLL = lambda *args, **kwargs: calls.append(args)\n"
+        "import fedte, fedte.cli\n"
+        "assert calls == [], calls\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fedte.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -33,8 +33,11 @@ def test_idx_two_image_fixture(tmp_path):
     images = np.array([[[0, 255], [255, 0]], [[255, 255], [0, 0]]], dtype=np.uint8)
     labels = np.array([3, 7], dtype=np.uint8)
     ds = load_idx(*write_idx_pair(tmp_path, images, labels))
-    assert ds.images.shape == (2, 1, 2, 2)
-    assert np.array_equal(np.unique(ds.images), [0.0, 1.0])
+    # the file's bytes, one byte a pixel
+    assert ds.images.dtype == np.uint8 and ds.images.shape == (2, 1, 2, 2)
+    assert ds.images.nbytes == 2 * 1 * 2 * 2
+    assert np.array_equal(ds.images[:, 0], images)
+    assert np.array_equal(np.unique(ds.pixels(slice(None))), [0.0, 1.0])
     assert np.array_equal(ds.labels, [3, 7])
 
 
@@ -87,14 +90,14 @@ def test_idx_truncated(tmp_path):
 
 def test_idx_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
-    ds = Dataset(
-        (rng.integers(0, 256, (7, 1, 4, 4)).astype(np.float32) / 255.0),
-        rng.integers(0, 10, 7).astype(np.int64),
-    )
+    raw = rng.integers(0, 256, (7, 1, 4, 4)).astype(np.uint8)
+    ds = Dataset(raw.astype(np.float32) / 255.0, rng.integers(0, 10, 7).astype(np.int64))
     ip, lp = str(tmp_path / "imgs"), str(tmp_path / "labs")
     save_idx(ds, ip, lp)
     back = load_idx(ip, lp)
-    assert np.array_equal(back.images, ds.images)
+    assert back.images.dtype == np.uint8 and back.images.nbytes == 7 * 1 * 4 * 4
+    assert np.array_equal(back.images, raw)
+    assert np.array_equal(back.pixels(slice(None)), ds.images)
     assert np.array_equal(back.labels, ds.labels)
 
 
@@ -103,27 +106,62 @@ def test_cifar_single_record(tmp_path):
     path = tmp_path / "batch.bin"
     path.write_bytes(record)
     ds = load_cifar10([str(path)])
-    assert ds.images.shape == (1, 3, 32, 32)
+    assert ds.images.dtype == np.uint8 and ds.images.shape == (1, 3, 32, 32)
+    assert ds.images.nbytes == 1 * 3 * 32 * 32
+    assert ds.images.tobytes() == record[1:]
     assert ds.labels[0] == 6
-    assert ds.images.max() <= 1.0
+    assert ds.pixels(slice(None)).max() <= 1.0
+
+
+def assert_pixels_of_every_byte(ds, raw):
+    """`ds.pixels` is bitwise `astype(np.float32) / 255.0` of the stored bytes,
+    gathered by row indices and by a slice."""
+    expected = raw.astype(np.float32) / 255.0
+    for rows in (np.arange(len(ds))[::-1], slice(0, len(ds))):
+        got = ds.pixels(rows)
+        assert got.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), expected[rows].view(np.uint32))
 
 
 def test_pixels_equal_float32_cast_divided_by_255(tmp_path):
-    # the loaders divide in one pass; the values are those of the two-pass
-    # astype(np.float32) / 255.0 for every byte value
+    # the gather divides in one pass; the values are those of the two-pass
+    # astype(np.float32) / 255.0 for every byte value, in each file format
     every = np.arange(256, dtype=np.uint8)
     images = np.tile(every, 4).reshape(4, 16, 16)
-    ds = load_idx(*write_idx_pair(tmp_path, images, np.arange(4, dtype=np.uint8)))
-    expected = images[:, None].astype(np.float32) / 255.0
-    assert ds.images.dtype == np.float32
-    assert np.array_equal(ds.images.view(np.uint32), expected.view(np.uint32))
+    plain = write_idx_pair(tmp_path, images, np.arange(4, dtype=np.uint8))
+    gzipped = []
+    for path in plain:
+        with open(path, "rb") as src, gzip.open(path + ".gz", "wb") as dst:
+            dst.write(src.read())
+        gzipped.append(path + ".gz")
+    for paths in (plain, gzipped):
+        assert_pixels_of_every_byte(load_idx(*paths), images[:, None])
 
     path = tmp_path / "batch.bin"
-    path.write_bytes(bytes([6]) + every.tobytes() * 12)
+    path.write_bytes((bytes([6]) + every.tobytes() * 12) * 2)
     cifar = load_cifar10([str(path)])
-    expected = np.tile(every, 12).reshape(1, 3, 32, 32).astype(np.float32) / 255.0
-    assert cifar.images.dtype == np.float32
-    assert np.array_equal(cifar.images.view(np.uint32), expected.view(np.uint32))
+    assert_pixels_of_every_byte(cifar, np.tile(every, 24).reshape(2, 3, 32, 32))
+
+
+def test_pixels_pass_float_storage_through():
+    ds = synth_dataset(20, 3)
+    rows = np.array([5, 0, 19])
+    assert np.array_equal(ds.pixels(rows), ds.images[rows])
+    assert ds.pixels(slice(2, 9)).base is ds.images  # a view, as images[2:9] is
+
+
+def test_batches_convert_uint8_storage_as_they_are_gathered():
+    raw = np.random.default_rng(8).integers(0, 256, (30, 1, 3, 3)).astype(np.uint8)
+    labels = np.arange(30) % 10
+    loaded, converted = Dataset(raw, labels), Dataset(raw.astype(np.float32) / 255.0, labels)
+    shard = dirichlet_partition(loaded, 2, 1.0, seed=4)[1]
+    got = list(iterate_batches(loaded, shard, 4, seed=9))
+    expected = list(iterate_batches(converted, shard, 4, seed=9))
+    assert len(got) == len(expected) > 1
+    for a, b in zip(got, expected):
+        assert a.inputs.dtype == np.float32
+        assert np.array_equal(a.inputs.view(np.uint32), b.inputs.view(np.uint32))
+        assert np.array_equal(a.labels, b.labels)
 
 
 def test_cifar_truncated_record(tmp_path):

@@ -71,6 +71,23 @@ def test_forward_shape_mismatch_raises():
         net.forward(net.init_params(0), np.zeros((1, 1, 10, 10), dtype=np.float32))
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_integer_inputs_raise(dtype):
+    # 0-255 bytes that skipped Dataset.pixels would otherwise train silently
+    net = Network(tiny_spec())
+    params = net.init_params(0)
+    x = np.full((2, 1, 12, 12), 255, dtype=dtype)
+    with pytest.raises(ConfigError, match="float pixels"):
+        net.forward(params, x)
+    with pytest.raises(ConfigError, match="float pixels"):
+        net.loss_and_grad(params, Batch(x, np.array([1, 2])))
+    with pytest.raises(ConfigError, match="float pixels"):
+        net.squared_grad_sum(params, Batch(x, np.array([1, 2])))
+    as_float = x.astype(np.float64) / 255.0
+    assert np.array_equal(net.forward(params, as_float),
+                          net.forward(params, as_float.astype(np.float32)))
+
+
 def test_flatten_unflatten_roundtrip():
     net = Network(tiny_spec())
     v = np.random.default_rng(3).normal(size=net.n_params).astype(np.float32)

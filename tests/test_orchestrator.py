@@ -8,9 +8,9 @@ from concurrent.futures import Future, ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from fedte.data import Dataset, dirichlet_partition, iterate_batches
+from fedte.data import Dataset, _pixels, dirichlet_partition, iterate_batches, load_idx
 from fedte.errors import ConfigError, DivergenceError
-from fedte.nn import Network, baseline_cnn, lr_at_round
+from fedte.nn import Conv, Dense, ModelSpec, Network, Pool, baseline_cnn, lr_at_round
 from fedte.orchestrator import (
     _SEED_BATCH,
     _SEED_FISHER,
@@ -26,7 +26,15 @@ from fedte.orchestrator import (
 )
 from fedte.penalties import FisherDiag, Prox, fisher_diag
 
-from conftest import make_variant, run_fed, runs_equal, synth_dataset, tiny_cfg, tiny_spec
+from conftest import (
+    make_variant,
+    run_fed,
+    runs_equal,
+    synth_dataset,
+    tiny_cfg,
+    tiny_spec,
+    write_idx_dataset,
+)
 
 
 def test_select_clients_count():
@@ -567,3 +575,23 @@ def test_pooled_evaluate_equals_sequential():
     with ThreadPoolExecutor(2) as pool:
         pooled = evaluate(net, params, test, map=functools.partial(_map_in_order, pool))
     assert pooled == evaluate(net, params, test)
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["1cpu", "2cpu"])
+@pytest.mark.parametrize("kind", ["fedprox-te", "fedcl-te"])
+def test_uint8_storage_runs_bitwise_like_float32_storage(monkeypatch, tmp_path, kind,
+                                                         cpus):
+    # 300 test images: evaluation batches of 256 and 44; 100 Fisher samples
+    # of a 150-example proxy: chunks of 64 and 36
+    use_cpus(monkeypatch, cpus)
+    data_dir = write_idx_dataset(str(tmp_path), n_train=600, n_test=300)
+    train, test = (load_idx(os.path.join(data_dir, f"{name}-images-idx3-ubyte"),
+                            os.path.join(data_dir, f"{name}-labels-idx1-ubyte"))
+                   for name in ("train", "t10k"))
+    assert train.images.dtype == test.images.dtype == np.uint8
+    converted = [Dataset(_pixels(ds.images), ds.labels) for ds in (train, test)]
+    net = Network(ModelSpec((1, 16, 16), (Conv(4, kernel=5), Pool(), Dense(10, relu=False))))
+    cfg = tiny_cfg(make_variant(kind, alpha=0.5, beta=0.4), rounds=2,
+                   proxy_fraction=0.25, fisher_samples=100)
+    assert len(prepare(cfg, train, net).proxy) == 150
+    assert runs_equal(run_fed(cfg, train, test, net), run_fed(cfg, *converted, net))
