@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .nn import Batch, Conv, Dense, ModelSpec, Network, Pool, baseline_cnn
-from .data import ClientShard, Dataset
+from .data import Dataset
 from .penalties import FisherDiag, Prox, fisher_diag
 from .target import TargetTracker
 from .orchestrator import (
@@ -21,7 +21,7 @@ from .analysis import (
 )
 
 __all__ = [
-    "Batch", "ClientShard", "Conv", "Dataset", "Dense", "FedConfig", "FisherDiag",
+    "Batch", "Conv", "Dataset", "Dense", "FedConfig", "FisherDiag",
     "ModelSpec", "Network", "Pool", "Prox", "RoundRecord", "RoundState",
     "TargetTracker", "Trajectory2D",
     "baseline_cnn", "converged_accuracy", "fisher_diag", "pca_trajectory",

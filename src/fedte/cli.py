@@ -244,7 +244,7 @@ def run_single(opts, cfg, thresholds, train, test):
                 stored.append((rec.round, state.global_params.copy()))
 
         records = run_experiment(cfg, state, test, net, on_round=on_round)
-    # the data split and models are garbage now; free them before the PCA
+    # the models, proxy copy and shard rows are garbage now; free them before the PCA
     del state
 
     accuracy = [r.test_accuracy for r in records]
@@ -321,7 +321,7 @@ def cmd_run(args):
         except DivergenceError as exc:
             print(f"error: {exc} (partial metrics preserved)", file=sys.stderr)
             return 1
-        except ConfigError as exc:
+        except (ConfigError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         print(f"run complete: {run_dir}")
@@ -439,7 +439,11 @@ def cmd_compare(args):
                 print(f"{key}: round reduction {100 * reduction:.1f}%")
 
     if args.out:
-        _write_json(args.out, report)
+        try:
+            _write_json(args.out, report)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     return 0
 
 

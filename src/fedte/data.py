@@ -17,13 +17,13 @@ from .nn import Batch
 IDX_IMAGES_MAGIC = 2051
 IDX_LABELS_MAGIC = 2049
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 32 * 32 pixels
+N_CLASSES = 10  # MNIST, Fashion-MNIST and CIFAR-10 each have ten
 
 
 @dataclass
 class Dataset:
     images: np.ndarray  # (N, C, H, W) uint8 file bytes, or float32 in [0, 1]; read by `pixels`
     labels: np.ndarray  # (N,) int64
-    n_classes: int = 10
 
     def __len__(self):
         return self.images.shape[0]
@@ -35,18 +35,11 @@ class Dataset:
 
     def subset(self, indices):
         idx = np.asarray(indices)
-        return Dataset(self.images[idx], self.labels[idx], self.n_classes)
+        return Dataset(self.images[idx], self.labels[idx])
 
     @property
     def input_shape(self):
         return tuple(self.images.shape[1:])
-
-
-@dataclass
-class ClientShard:
-    client_id: int
-    indices: np.ndarray
-    label_histogram: np.ndarray  # per-class counts, length n_classes
 
 
 def _open_maybe_gzip(path):
@@ -57,9 +50,9 @@ def _open_maybe_gzip(path):
 
 def _class_labels(raw, path):
     """uint8 label bytes as int64 class ids; IngestionError past the last class."""
-    if raw.size and raw.max() >= Dataset.n_classes:
+    if raw.size and raw.max() >= N_CLASSES:
         raise IngestionError(f"label {raw.max()} in {path} is not a class "
-                             f"(0-{Dataset.n_classes - 1})")
+                             f"(0-{N_CLASSES - 1})")
     return raw.astype(np.int64)
 
 
@@ -102,8 +95,9 @@ def load_idx(images_path, labels_path):
 
 
 def load_cifar10(batch_paths):
-    """Read CIFAR-10 binary batch files (label byte + 3072 pixel bytes per record)."""
-    images, labels = [], []
+    """Read CIFAR-10 binary batch files (label byte + 3072 pixel bytes per
+    record) into one buffer, which `images` views: the pixels are held once."""
+    buf, labels = bytearray(), []
     for path in batch_paths:
         with _open_maybe_gzip(path) as f:
             raw = f.read()
@@ -111,21 +105,24 @@ def load_cifar10(batch_paths):
             raise IngestionError(
                 f"{path}: length {len(raw)} is not a multiple of {CIFAR_RECORD_BYTES}"
             )
-        rec = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
-        labels.append(_class_labels(rec[:, 0], path))
-        images.append(rec[:, 1:].reshape(-1, 3, 32, 32))
-    return Dataset(np.concatenate(images), np.concatenate(labels))
+        labels.append(_class_labels(
+            np.frombuffer(raw, dtype=np.uint8)[::CIFAR_RECORD_BYTES], path))
+        buf += raw
+        del raw  # before the next file is read
+    records = np.frombuffer(buf, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
+    return Dataset(records[:, 1:].reshape(-1, 3, 32, 32), np.concatenate(labels))
 
 
-def dirichlet_partition(ds, clients, gamma, seed):
-    """Split example indices across clients with Dirichlet-sampled class mixes.
+def dirichlet_partition(labels, clients, gamma, seed):
+    """Split the positions of `labels` across clients with Dirichlet-sampled
+    class mixes; returns one sorted index array per client.
 
     Each client draws a class distribution q ~ Dir(gamma * p); every class's
     examples are then multinomially distributed over clients proportionally to
     their q weight for that class. A repair pass moves one example from the
     largest shard into any shard that came out empty.
     """
-    n, k = len(ds), clients
+    n, k = len(labels), clients
     if k < 1:
         raise ConfigError(f"client count must be >= 1, got {k}")
     if k > n:
@@ -133,7 +130,7 @@ def dirichlet_partition(ds, clients, gamma, seed):
     if not 0 < gamma < np.inf:
         raise ConfigError(f"concentration must be in (0, inf), got {gamma}")
 
-    counts = np.bincount(ds.labels, minlength=ds.n_classes)
+    counts = np.bincount(labels)
     present = np.flatnonzero(counts)
     prior = counts[present] / n  # the empirical class distribution
 
@@ -143,7 +140,7 @@ def dirichlet_partition(ds, clients, gamma, seed):
 
     assigned = [[] for _ in range(k)]
     for ci, cls in enumerate(present):
-        idx = rng.permutation(np.flatnonzero(ds.labels == cls))
+        idx = rng.permutation(np.flatnonzero(labels == cls))
         weights = q[:, ci]
         total = weights.sum()
         probs = weights / total if total > 0 else np.full(k, 1.0 / k)
@@ -153,29 +150,25 @@ def dirichlet_partition(ds, clients, gamma, seed):
             if part.size:
                 assigned[client].append(part)
 
-    shard_idx = [
+    shards = [
         np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
         for parts in assigned
     ]
     for client in range(k):
-        if shard_idx[client].size == 0:
-            donor = int(np.argmax([s.size for s in shard_idx]))
-            shard_idx[client] = shard_idx[donor][-1:]
-            shard_idx[donor] = shard_idx[donor][:-1]
-
-    shards = []
-    for client in range(k):
-        hist = np.bincount(ds.labels[shard_idx[client]], minlength=ds.n_classes)
-        shards.append(ClientShard(client, shard_idx[client], hist))
+        if shards[client].size == 0:
+            donor = int(np.argmax([s.size for s in shards]))
+            shards[client] = shards[donor][-1:]
+            shards[donor] = shards[donor][:-1]
     return shards
 
 
-def split_proxy(ds, fraction, seed):
-    """Stratified split into (train, proxy) with >= 1 proxy example per class."""
+def split_proxy(labels, fraction, seed):
+    """Stratified split of the positions of `labels` into sorted index arrays
+    (train, proxy), with >= 1 proxy example per class."""
     if not (0 < fraction < 1):
         raise ConfigError(f"proxy fraction must be in (0, 1), got {fraction}")
-    n = len(ds)
-    counts = np.bincount(ds.labels, minlength=ds.n_classes)
+    n = len(labels)
+    counts = np.bincount(labels)
     present = np.flatnonzero(counts)
     total = int(round(fraction * n))
     if total < present.size:
@@ -204,20 +197,19 @@ def split_proxy(ds, fraction, seed):
     rng = np.random.default_rng(seed)
     proxy_parts = []
     for ci, cls in enumerate(present):
-        idx = rng.permutation(np.flatnonzero(ds.labels == cls))
+        idx = rng.permutation(np.flatnonzero(labels == cls))
         proxy_parts.append(idx[: take[ci]])
-    proxy_idx = np.sort(np.concatenate(proxy_parts))
+    proxy_rows = np.sort(np.concatenate(proxy_parts))
     mask = np.ones(n, dtype=bool)
-    mask[proxy_idx] = False
-    train_idx = np.flatnonzero(mask)
-    return ds.subset(train_idx), ds.subset(proxy_idx)
+    mask[proxy_rows] = False
+    return np.flatnonzero(mask), proxy_rows
 
 
-def iterate_batches(ds, shard, batch_size, seed):
-    """One shuffled epoch over a shard, final batch possibly short."""
+def iterate_batches(ds, rows, batch_size, seed):
+    """One shuffled epoch over the rows `rows` of `ds`, final batch possibly short."""
     if batch_size < 1:
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")
-    order = np.random.default_rng(seed).permutation(np.asarray(shard.indices))
+    order = np.random.default_rng(seed).permutation(rows)
     for start in range(0, order.size, batch_size):
         chunk = order[start:start + batch_size]
         yield Batch(ds.pixels(chunk), ds.labels[chunk])

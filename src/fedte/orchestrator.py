@@ -93,9 +93,9 @@ class RoundRecord:
 class RoundState:
     """A run between rounds: its data split and all that a round hands the next."""
 
-    train: Dataset  # the training examples left after the proxy split
-    proxy: Dataset
-    shards: list  # one ClientShard per client
+    train: Dataset  # the caller's training set, shared, not copied
+    proxy: Dataset  # a copy of the proxy rows, `proxy_fraction` of `train`
+    shards: list  # one sorted array of `train` rows per client
     global_params: np.ndarray
     target: np.ndarray  # anchor of the next round's local training
     tracker: Optional[TargetTracker]  # the -TE ensemble; None for other variants
@@ -127,24 +127,22 @@ def aggregate(models, counts):
     return (acc / float(sum(counts))).astype(models[0].dtype)
 
 
-def local_train(net, global_params, ds, shard, penalty, epochs, batch_size, lr,
+def local_train(net, global_params, ds, rows, penalty, epochs, batch_size, lr,
                 seed, round_idx=None, client_id=None):
-    """E epochs of mini-batch SGD from a copy of the global model.
-
-    Returns (trained parameters, shard example count).
-    """
+    """E epochs of mini-batch SGD on the rows `rows` of `ds`, from a copy of the
+    global model. Returns (trained parameters, number of rows)."""
     if lr <= 0:
         raise ConfigError(f"learning rate must be > 0, got {lr}")
     params = global_params.copy()
     step = 0
     for epoch in range(epochs):
-        for batch in iterate_batches(ds, shard, batch_size, seed=(*seed, epoch)):
+        for batch in iterate_batches(ds, rows, batch_size, seed=(*seed, epoch)):
             loss, grad = net.loss_and_grad(params, batch, penalty)
             if not np.isfinite(loss):
                 raise DivergenceError(round_idx, client_id, step, loss)
             params = sgd_step(params, grad, lr)
             step += 1
-    return params, int(np.asarray(shard.indices).size)
+    return params, int(rows.size)
 
 
 def evaluate(net, params, ds, batch_size=256, map=map):
@@ -177,15 +175,18 @@ def prepare(cfg, train, net):
     """The RoundState before round 1; raises every ConfigError the data can cause."""
     # the proxy split happens for every variant so that paired runs of
     # different algorithms train on identical shards
-    train_main, proxy = split_proxy(
-        train, cfg.proxy_fraction, seed=(cfg.seed, _SEED_PROXY)
-    )
-    shards = dirichlet_partition(train_main, cfg.clients, cfg.gamma,
-                                 (cfg.seed, _SEED_PARTITION))
+    train_rows, proxy_rows = split_proxy(train.labels, cfg.proxy_fraction,
+                                         seed=(cfg.seed, _SEED_PROXY))
+    # partition by position among the train rows, then map positions to rows:
+    # the map is increasing, so draws, repairs and batch orders match a copy's
+    positions = dirichlet_partition(train.labels[train_rows], cfg.clients, cfg.gamma,
+                                    (cfg.seed, _SEED_PARTITION))
+    shards = [train_rows[pos] for pos in positions]
     global_params = net.init_params((cfg.seed, _SEED_INIT))
     tracker = TargetTracker(cfg.beta) if cfg.uses_ensemble else None
     # round 1 anchors local training to the initial model
-    return RoundState(train_main, proxy, shards, global_params, global_params, tracker, [])
+    return RoundState(train, train.subset(proxy_rows), shards, global_params,
+                      global_params, tracker, [])
 
 
 def _usable_cpus():
@@ -259,19 +260,16 @@ def _run_here(fn, x):
     return job
 
 
-def run_experiment(cfg, state, test, net, fisher_fn=None, on_round=None):
+def run_experiment(cfg, state, test, net, on_round=None):
     """Advance `state` from `prepare` to round `cfg.rounds`; returns its records.
 
-    `fisher_fn(net, params, proxy, max_samples, seed)` may be overridden for
-    testing; `on_round` is called with the RoundState after each round. The
-    run's pool is shut down before this returns or raises.
+    `on_round` is called with the RoundState after each round. The run's pool
+    is shut down before this returns or raises.
     """
     threads = _client_threads(cfg)
     pool = (ThreadPoolExecutor(threads - 1, thread_name_prefix="fedte-pool")
             if threads > 1 else None)
     pool_map = functools.partial(_map_in_order, pool)
-    if fisher_fn is None:
-        fisher_fn = functools.partial(penalties.fisher_diag, map=pool_map)
     try:
         for t in range(len(state.records) + 1, cfg.rounds + 1):
             lr = lr_at_round(t, cfg.lr, cfg.lr_decay)
@@ -280,8 +278,9 @@ def run_experiment(cfg, state, test, net, fisher_fn=None, on_round=None):
             if cfg.variant == "fedavg":
                 penalty = None
             elif cfg.uses_fisher:
-                fisher = fisher_fn(net, state.target, state.proxy, cfg.fisher_samples,
-                                   (cfg.seed, _SEED_FISHER, t))
+                fisher = penalties.fisher_diag(
+                    net, state.target, state.proxy, cfg.fisher_samples,
+                    (cfg.seed, _SEED_FISHER, t), map=pool_map)
                 penalty = penalties.FisherDiag(cfg.alpha, state.target, fisher)
             else:
                 penalty = penalties.Prox(cfg.alpha, state.target)

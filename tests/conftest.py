@@ -18,7 +18,7 @@ def synth_dataset(n, seed, shape=(1, 12, 12), classes=10):
     images = (rng.random((n, *shape)) * 0.2).astype(np.float32)
     for c in range(classes):
         images[labels == c, 0, c % shape[1], (2 * c) % shape[2]] += 0.8
-    return Dataset(images, labels, n_classes=classes)
+    return Dataset(images, labels)
 
 
 def tiny_spec():

@@ -14,6 +14,7 @@ import statistics
 import numpy as np
 import pytest
 
+from fedte import penalties
 from fedte.analysis import converged_accuracy, pca_trajectory, rounds_to_accuracy
 from fedte.cli import load_dataset, main
 from fedte.data import dirichlet_partition, iterate_batches, split_proxy
@@ -77,12 +78,12 @@ def test_criterion_2_ensemble_oracle():
     report(2, "tracker == closed-form weighted sum, t<=50, 5 momenta")
 
 
-def test_criterion_3_reduction_lattice():
+def test_criterion_3_reduction_lattice(monkeypatch):
     train, test = synth_dataset(500, 30), synth_dataset(150, 31)
     net = Network(tiny_spec())
 
-    def run(variant, **kw):
-        return run_fed(tiny_cfg(variant, rounds=5), train, test, net, **kw)
+    def run(variant):
+        return run_fed(tiny_cfg(variant, rounds=5), train, test, net)
 
     fedavg = run(make_variant("fedavg"))
     prox0 = run(make_variant("fedprox", alpha=0.0))
@@ -90,8 +91,9 @@ def test_criterion_3_reduction_lattice():
     prox_te0 = run(make_variant("fedprox-te", alpha=0.5, beta=0.0))
     fedcl = run(make_variant("fedcl", alpha=0.5))
     fedcl_te0 = run(make_variant("fedcl-te", alpha=0.5, beta=0.0))
-    fedcl_ones = run(make_variant("fedcl", alpha=0.5),
-                     fisher_fn=lambda net, p, ds, m, s: np.ones_like(p))
+    monkeypatch.setattr(penalties, "fisher_diag",
+                        lambda net, p, ds, m, s, map=map: np.ones_like(p))
+    fedcl_ones = run(make_variant("fedcl", alpha=0.5))
 
     assert runs_equal(prox0, fedavg)
     assert runs_equal(prox_te0, prox)
@@ -124,12 +126,13 @@ def test_criterion_5_partition_on_mnist_labels(mnist_dir):
     for gamma in (0.1, 100.0):
         total = 0.0
         for seed in range(5):
-            shards = dirichlet_partition(train, 10, gamma, seed)
-            merged = np.concatenate([s.indices for s in shards])
+            shards = dirichlet_partition(train.labels, 10, gamma, seed)
+            merged = np.concatenate(shards)
             assert np.array_equal(np.sort(merged), np.arange(len(train)))
             total += np.mean([
-                np.abs(s.label_histogram / s.indices.size - prior).sum()
-                for s in shards
+                np.abs(np.bincount(train.labels[rows], minlength=10) / rows.size
+                       - prior).sum()
+                for rows in shards
             ])
         deviations[gamma] = total / 5
     assert deviations[100.0] < deviations[0.1]
@@ -267,12 +270,13 @@ def test_criterion_11_centralized_reduction():
     _, models = run_fed(cfg, train, test, net)
 
     # centralized SGD over the same (post-proxy-split) training data
-    train_main, _ = split_proxy(train, cfg.proxy_fraction, seed=(seed, _SEED_PROXY))
-    (shard,) = dirichlet_partition(train_main, 1, cfg.gamma, (seed, _SEED_PARTITION))
+    train_rows, _ = split_proxy(train.labels, cfg.proxy_fraction, seed=(seed, _SEED_PROXY))
+    (pos,) = dirichlet_partition(train.labels[train_rows], 1, cfg.gamma,
+                                 (seed, _SEED_PARTITION))
     params = net.init_params((seed, _SEED_INIT))
     for t in range(1, cfg.rounds + 1):
         lr = lr_at_round(t, cfg.lr, cfg.lr_decay)
-        for batch in iterate_batches(train_main, shard, cfg.batch,
+        for batch in iterate_batches(train, train_rows[pos], cfg.batch,
                                      seed=(seed, _SEED_BATCH, t, 0, 0)):
             _, grad = net.loss_and_grad(params, batch)
             params = sgd_step(params, grad, lr)

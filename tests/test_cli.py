@@ -167,6 +167,15 @@ def test_compare_unreached_threshold_absent(tmp_path):
     assert report["reductions"]["fedprox-te_vs_fedprox@0.95"] is None
 
 
+def test_compare_unwritable_report_is_an_error(tmp_path, capsys):
+    a = _write_summary(tmp_path / "a.json", "fedprox", [0.9, 0.96])
+    b = _write_summary(tmp_path / "b.json", "fedprox-te", [0.5, 0.96])
+    (tmp_path / "file").write_text("")
+    assert main(["compare", a, b, "--out", str(tmp_path / "file" / "r.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "file" in err[0]
+
+
 @pytest.mark.parametrize("key", ["rounds", "window"])
 def test_compare_refuses_mismatched_configs(tmp_path, capsys, key):
     a = _write_summary(tmp_path / "a.json", "fedprox", [0.9])
@@ -492,3 +501,12 @@ def test_importing_fedte_calls_no_library():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_run_into_an_existing_file_is_an_error(data_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("")
+    assert run_cli(data_dir, out, "--seed", "1") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]
+    assert out.read_text() == ""

@@ -1,6 +1,7 @@
 import gc
 import gzip
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -154,14 +155,33 @@ def test_batches_convert_uint8_storage_as_they_are_gathered():
     raw = np.random.default_rng(8).integers(0, 256, (30, 1, 3, 3)).astype(np.uint8)
     labels = np.arange(30) % 10
     loaded, converted = Dataset(raw, labels), Dataset(raw.astype(np.float32) / 255.0, labels)
-    shard = dirichlet_partition(loaded, 2, 1.0, seed=4)[1]
-    got = list(iterate_batches(loaded, shard, 4, seed=9))
-    expected = list(iterate_batches(converted, shard, 4, seed=9))
+    rows = dirichlet_partition(labels, 2, 1.0, seed=4)[1]
+    got = list(iterate_batches(loaded, rows, 4, seed=9))
+    expected = list(iterate_batches(converted, rows, 4, seed=9))
     assert len(got) == len(expected) > 1
     for a, b in zip(got, expected):
         assert a.inputs.dtype == np.float32
         assert np.array_equal(a.inputs.view(np.uint32), b.inputs.view(np.uint32))
         assert np.array_equal(a.labels, b.labels)
+
+
+def test_cifar_loading_holds_the_pixels_once(tmp_path):
+    paths = []
+    for i in range(4):
+        path = tmp_path / f"b{i}.bin"
+        path.write_bytes((bytes([i]) + bytes(range(256)) * 12) * 200)
+        paths.append(str(path))
+    tracemalloc.start()
+    try:
+        ds = load_cifar10(paths)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.images.shape == (800, 3, 32, 32)
+    assert np.array_equal(ds.images[::200, 0, 0, :3], [[0, 1, 2]] * 4)
+    assert np.array_equal(ds.labels, np.repeat(np.arange(4), 200))
+    # the buffer of every file, and the file being appended to it
+    assert peak < 1.5 * 4 * 200 * CIFAR_RECORD_BYTES
 
 
 def test_cifar_truncated_record(tmp_path):
@@ -198,27 +218,27 @@ def test_cifar_multiple_batches(tmp_path):
 ])
 def test_partition_conservation(clients, gamma, seed):
     ds = synth_dataset(400, seed)
-    shards = dirichlet_partition(ds, clients, gamma, seed)
+    shards = dirichlet_partition(ds.labels, clients, gamma, seed)
     assert len(shards) == clients
-    merged = np.concatenate([s.indices for s in shards])
+    merged = np.concatenate(shards)
     assert np.array_equal(np.sort(merged), np.arange(len(ds)))
-    for shard in shards:
-        assert shard.indices.size > 0
-        hist = np.bincount(ds.labels[shard.indices], minlength=10)
-        assert np.array_equal(hist, shard.label_histogram)
-        assert shard.label_histogram.sum() == shard.indices.size
+    for rows in shards:
+        assert rows.size > 0
+        assert np.all(np.diff(rows) > 0)  # sorted
+    hists = [np.bincount(ds.labels[rows], minlength=10) for rows in shards]
+    assert np.array_equal(np.sum(hists, axis=0), np.bincount(ds.labels, minlength=10))
 
 
 def test_partition_single_client():
     ds = synth_dataset(50, 1)
-    (shard,) = dirichlet_partition(ds, 1, 0.3, 9)
-    assert np.array_equal(np.sort(shard.indices), np.arange(50))
+    (rows,) = dirichlet_partition(ds.labels, 1, 0.3, 9)
+    assert np.array_equal(rows, np.arange(50))
 
 
 def test_partition_too_many_clients():
     ds = synth_dataset(5, 0)
     with pytest.raises(ConfigError):
-        dirichlet_partition(ds, 10, 1.0, 0)
+        dirichlet_partition(ds.labels, 10, 1.0, 0)
 
 
 def test_high_concentration_matches_prior():
@@ -227,11 +247,10 @@ def test_high_concentration_matches_prior():
     n = 400_000
     for seed in range(5):
         labels = np.random.default_rng(seed).integers(0, 10, n).astype(np.int64)
-        ds = Dataset(np.zeros((n, 1, 1, 1), dtype=np.float32), labels)
         prior = np.bincount(labels, minlength=10) / n  # the partition's prior
-        shards = dirichlet_partition(ds, 10, 1e6, seed)
-        for shard in shards:
-            q = shard.label_histogram / shard.indices.size
+        shards = dirichlet_partition(labels, 10, 1e6, seed)
+        for rows in shards:
+            q = np.bincount(labels[rows], minlength=10) / rows.size
             assert np.abs(q - prior).sum() < 0.02
 
 
@@ -242,10 +261,10 @@ def test_concentration_monotonicity_synthetic():
         for seed in range(5):
             ds = synth_dataset(2000, seed)
             prior = np.bincount(ds.labels, minlength=10) / len(ds)
-            shards = dirichlet_partition(ds, 10, gamma, seed)
+            shards = dirichlet_partition(ds.labels, 10, gamma, seed)
             total += np.mean([
-                np.abs(s.label_histogram / s.indices.size - prior).sum()
-                for s in shards
+                np.abs(np.bincount(ds.labels[rows], minlength=10) / rows.size - prior).sum()
+                for rows in shards
             ])
         deviations[gamma] = total / 5
     assert deviations[100.0] < deviations[0.1]
@@ -253,63 +272,80 @@ def test_concentration_monotonicity_synthetic():
 
 def test_partition_determinism():
     ds = synth_dataset(300, 4)
-    a = dirichlet_partition(ds, 7, 0.5, 11)
-    b = dirichlet_partition(ds, 7, 0.5, 11)
+    a = dirichlet_partition(ds.labels, 7, 0.5, 11)
+    b = dirichlet_partition(ds.labels, 7, 0.5, 11)
+    assert len(a) == len(b) == 7
     for x, y in zip(a, b):
-        assert np.array_equal(x.indices, y.indices)
+        assert np.array_equal(x, y)
 
 
 def test_split_proxy_conservation():
     ds = synth_dataset(500, 5)
-    train, proxy = split_proxy(ds, 0.1, seed=0)
-    assert len(train) + len(proxy) == len(ds)
-    assert np.bincount(proxy.labels, minlength=10).min() >= 1
-    # disjointness: pixel multisets concatenate back to the original
-    merged = np.concatenate([train.images, proxy.images])
-    assert merged.shape == ds.images.shape
+    train_rows, proxy_rows = split_proxy(ds.labels, 0.1, seed=0)
+    assert train_rows.size + proxy_rows.size == len(ds)
+    assert np.bincount(ds.labels[proxy_rows], minlength=10).min() >= 1
+    # sorted, disjoint, and together every row
+    for rows in (train_rows, proxy_rows):
+        assert np.all(np.diff(rows) > 0)
+    merged = np.concatenate([train_rows, proxy_rows])
+    assert np.array_equal(np.sort(merged), np.arange(len(ds)))
 
 
 def test_split_proxy_balanced_toy():
-    rng = np.random.default_rng(6)
-    labels = np.repeat(np.arange(10), 2).astype(np.int64)
-    ds = Dataset(rng.random((20, 1, 4, 4)).astype(np.float32), labels)
-    train, proxy = split_proxy(ds, 0.5, seed=1)
-    assert np.array_equal(np.bincount(proxy.labels, minlength=10), np.ones(10))
-    assert np.array_equal(np.bincount(train.labels, minlength=10), np.ones(10))
+    labels = np.repeat(np.arange(10), 2)
+    train_rows, proxy_rows = split_proxy(labels, 0.5, seed=1)
+    assert np.array_equal(np.bincount(labels[proxy_rows], minlength=10), np.ones(10))
+    assert np.array_equal(np.bincount(labels[train_rows], minlength=10), np.ones(10))
 
 
 def test_split_proxy_fraction_too_small():
     ds = synth_dataset(100, 7)
     with pytest.raises(ConfigError):
-        split_proxy(ds, 0.01, seed=0)  # 1 example cannot cover 10 classes
+        split_proxy(ds.labels, 0.01, seed=0)  # 1 example cannot cover 10 classes
 
 
 def test_split_proxy_stratified_count():
     ds = synth_dataset(6000, 8)
-    _, proxy = split_proxy(ds, 0.01, seed=0)
-    assert len(proxy) == 60
-    assert np.bincount(proxy.labels, minlength=10).min() >= 1
+    _, proxy_rows = split_proxy(ds.labels, 0.01, seed=0)
+    assert proxy_rows.size == 60
+    assert np.bincount(ds.labels[proxy_rows], minlength=10).min() >= 1
 
 
 def test_iterate_batches_sizes_and_conservation():
     ds = synth_dataset(200, 9)
-    shards = dirichlet_partition(ds, 2, 1.0, 0)
-    shard = shards[0]
-    if shard.indices.size < 110:
-        shard = shards[1]
-    batches = list(iterate_batches(ds, shard, 50, seed=0))
+    shards = dirichlet_partition(ds.labels, 2, 1.0, 0)
+    rows = shards[0]
+    if rows.size < 110:
+        rows = shards[1]
+    batches = list(iterate_batches(ds, rows, 50, seed=0))
     sizes = [b.labels.size for b in batches]
-    assert sum(sizes) == shard.indices.size
+    assert sum(sizes) == rows.size
     assert all(s == 50 for s in sizes[:-1])
     merged = np.sort(np.concatenate([b.labels for b in batches]))
-    assert np.array_equal(merged, np.sort(ds.labels[shard.indices]))
+    assert np.array_equal(merged, np.sort(ds.labels[rows]))
 
 
 def test_iterate_batches_determinism():
     ds = synth_dataset(120, 10)
-    (shard,) = dirichlet_partition(ds, 1, 1.0, 0)
-    a = [b.labels for b in iterate_batches(ds, shard, 32, seed=5)]
-    b = [b.labels for b in iterate_batches(ds, shard, 32, seed=5)]
-    c = [b.labels for b in iterate_batches(ds, shard, 32, seed=6)]
+    (rows,) = dirichlet_partition(ds.labels, 1, 1.0, 0)
+    a = [b.labels for b in iterate_batches(ds, rows, 32, seed=5)]
+    b = [b.labels for b in iterate_batches(ds, rows, 32, seed=5)]
+    c = [b.labels for b in iterate_batches(ds, rows, 32, seed=6)]
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     assert any(not np.array_equal(x, y) for x, y in zip(a, c))
+
+
+def test_batches_over_rows_equal_batches_over_a_copy_of_those_rows():
+    # positions map to rows increasingly, so permuting rows gathers what
+    # permuting positions into a copy of those rows gathers
+    raw = np.random.default_rng(11).integers(0, 256, (90, 1, 3, 3)).astype(np.uint8)
+    ds = Dataset(raw, np.arange(90) % 10)
+    train_rows, _ = split_proxy(ds.labels, 0.2, seed=3)
+    copy = ds.subset(train_rows)
+    for pos in dirichlet_partition(copy.labels, 3, 0.5, seed=2):
+        got = list(iterate_batches(ds, train_rows[pos], 7, seed=(5, 1)))
+        expected = list(iterate_batches(copy, pos, 7, seed=(5, 1)))
+        assert len(got) == len(expected) > 0
+        for a, b in zip(got, expected):
+            assert np.array_equal(a.inputs.view(np.uint32), b.inputs.view(np.uint32))
+            assert np.array_equal(a.labels, b.labels)

@@ -2,18 +2,28 @@ import functools
 import os
 import sys
 import threading
+import tracemalloc
 import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from fedte.data import Dataset, _pixels, dirichlet_partition, iterate_batches, load_idx
+from fedte import penalties
+from fedte.data import (
+    Dataset,
+    _pixels,
+    dirichlet_partition,
+    iterate_batches,
+    load_idx,
+    split_proxy,
+)
 from fedte.errors import ConfigError, DivergenceError
 from fedte.nn import Conv, Dense, ModelSpec, Network, Pool, baseline_cnn, lr_at_round
 from fedte.orchestrator import (
     _SEED_BATCH,
     _SEED_FISHER,
+    _SEED_PROXY,
     FedConfig,
     _map_in_order,
     RoundRecord,
@@ -130,17 +140,17 @@ def test_local_train_replay_matches_manual_loop():
 
     ds = synth_dataset(100, 0)
     net = Network(tiny_spec())
-    (shard,) = dirichlet_partition(ds, 1, 1.0, 0)
+    (rows,) = dirichlet_partition(ds.labels, 1, 1.0, 0)
     g = net.init_params(0)
     penalty = Prox(0.3, g)
-    out, n_k = local_train(net, g, ds, shard, penalty, epochs=2, batch_size=50,
+    out, n_k = local_train(net, g, ds, rows, penalty, epochs=2, batch_size=50,
                            lr=0.05, seed=(1, 2))
     assert n_k == 100
 
     params = g.copy()
     steps = 0
     for epoch in range(2):
-        for batch in iterate_batches(ds, shard, 50, seed=(1, 2, epoch)):
+        for batch in iterate_batches(ds, rows, 50, seed=(1, 2, epoch)):
             _, grad = net.loss_and_grad(params, batch, penalty)
             params = sgd_step(params, grad, 0.05)
             steps += 1
@@ -151,9 +161,9 @@ def test_local_train_replay_matches_manual_loop():
 def test_strong_anchor_pins_parameters():
     ds = synth_dataset(60, 1)
     net = Network(tiny_spec())
-    (shard,) = dirichlet_partition(ds, 1, 1.0, 1)
+    (rows,) = dirichlet_partition(ds.labels, 1, 1.0, 1)
     g = net.init_params(1)
-    out, _ = local_train(net, g, ds, shard, Prox(1e6, g), epochs=1,
+    out, _ = local_train(net, g, ds, rows, Prox(1e6, g), epochs=1,
                          batch_size=20, lr=1e-7, seed=(0,))
     assert np.abs(out - g).max() < 1e-2
 
@@ -162,10 +172,10 @@ def test_strong_anchor_pins_parameters():
 def test_local_train_divergence_error():
     ds = synth_dataset(40, 2)
     net = Network(tiny_spec())
-    (shard,) = dirichlet_partition(ds, 1, 1.0, 2)
+    (rows,) = dirichlet_partition(ds.labels, 1, 1.0, 2)
     g = np.full(net.n_params, np.float32(1e30))
     with pytest.raises(DivergenceError) as err:
-        local_train(net, g, ds, shard, None, epochs=1, batch_size=20,
+        local_train(net, g, ds, rows, None, epochs=1, batch_size=20,
                     lr=1e20, seed=(0,), round_idx=3, client_id=1)
     assert err.value.round_idx == 3
     assert err.value.client_id == 1
@@ -197,12 +207,12 @@ def test_round_records_well_formed():
         assert np.all(np.isfinite(params))
 
 
-def test_reduction_lattice():
+def test_reduction_lattice(monkeypatch):
     train, test = synth_dataset(300, 4), synth_dataset(100, 5)
     net = Network(tiny_spec())
 
-    def run(variant, **kw):
-        return run_fed(tiny_cfg(variant), train, test, net, **kw)
+    def run(variant):
+        return run_fed(tiny_cfg(variant), train, test, net)
 
     fedavg = run(make_variant("fedavg"))
     prox0 = run(make_variant("fedprox", alpha=0.0))
@@ -210,10 +220,9 @@ def test_reduction_lattice():
     prox_te0 = run(make_variant("fedprox-te", alpha=0.5, beta=0.0))
     fedcl = run(make_variant("fedcl", alpha=0.5))
     fedcl_te0 = run(make_variant("fedcl-te", alpha=0.5, beta=0.0))
-    fedcl_ones = run(
-        make_variant("fedcl", alpha=0.5),
-        fisher_fn=lambda net, p, ds, m, s: np.ones_like(p),
-    )
+    monkeypatch.setattr(penalties, "fisher_diag",
+                        lambda net, p, ds, m, s, map=map: np.ones_like(p))
+    fedcl_ones = run(make_variant("fedcl", alpha=0.5))
 
     assert runs_equal(prox0, fedavg)
     assert runs_equal(prox_te0, prox)
@@ -235,6 +244,36 @@ def test_evaluate_empty_dataset_raises():
     net = Network(tiny_spec())
     with pytest.raises(ConfigError):
         evaluate(net, net.init_params(0), synth_dataset(0, 0))
+
+
+def test_prepare_shares_the_callers_training_set():
+    train = synth_dataset(2000, 20)
+    cfg = tiny_cfg(make_variant("fedprox-te", alpha=0.5, beta=0.4))
+    tracemalloc.start()
+    try:
+        state = prepare(cfg, train, Network(tiny_spec()))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.train is train
+    # the 5% proxy copy, the row arrays and the model: no copy of the images
+    assert peak < train.images.nbytes / 4
+
+
+@pytest.mark.parametrize("gamma", [0.05, 1.0, 100.0])
+def test_shards_and_proxy_are_sorted_disjoint_and_cover_every_row(gamma):
+    train = synth_dataset(500, 21)
+    cfg = tiny_cfg(make_variant("fedavg"), clients=7, gamma=gamma)
+    state = prepare(cfg, train, Network(tiny_spec()))
+    _, proxy_rows = split_proxy(train.labels, cfg.proxy_fraction, (cfg.seed, _SEED_PROXY))
+    assert np.array_equal(state.proxy.images, train.images[proxy_rows])
+    assert np.array_equal(state.proxy.labels, train.labels[proxy_rows])
+    parts = [*state.shards, proxy_rows]
+    assert len(parts) == 8
+    for rows in parts:
+        assert rows.size > 0
+        assert np.all(np.diff(rows) > 0)
+    assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(len(train)))
 
 
 # -- concurrent clients ------------------------------------------------------
@@ -314,18 +353,19 @@ def test_more_client_threads_than_cores_equal_sequential_loop(monkeypatch):
 
 
 def poisoned_state(cfg, train, net):
-    """Round 1's state with NaN pixels: the 3rd selected client diverges at step
-    0 and the 2nd at the last step of its first epoch. Returns (state, 2nd
-    client, its failing step)."""
+    """Round 1's state on a copy of `train` with NaN pixels: the 3rd selected
+    client diverges at step 0 and the 2nd at the last step of its first
+    epoch. Returns (state, 2nd client, its failing step)."""
     state = prepare(cfg, train, net)
+    state.train = Dataset(train.images.copy(), train.labels)
     _, second, third = select_clients(cfg.clients, cfg.ratio, 1, cfg.seed)
     # a dataset whose images are their own row numbers gives the batch order
-    rows = Dataset(np.arange(len(state.train), dtype=np.float32).reshape(-1, 1, 1, 1),
-                   state.train.labels)
+    rows = Dataset(np.arange(len(train), dtype=np.float32).reshape(-1, 1, 1, 1),
+                   train.labels)
     batches = list(iterate_batches(rows, state.shards[second], cfg.batch,
                                    seed=(cfg.seed, _SEED_BATCH, 1, second, 0)))
     state.train.images[int(batches[-1].inputs[0, 0, 0, 0])] = np.nan
-    state.train.images[state.shards[third].indices] = np.nan
+    state.train.images[state.shards[third]] = np.nan
     return state, second, len(batches) - 1
 
 

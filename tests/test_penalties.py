@@ -178,7 +178,7 @@ def test_fisher_matches_loop_oracle_small_specs(spec):
     params = rng.normal(0, 0.5, net.n_params)
     n = 130
     ds = Dataset(rng.random((n, *spec.input_shape)).astype(np.float32),
-                 rng.integers(0, net.output_dim, n), n_classes=net.output_dim)
+                 rng.integers(0, net.output_dim, n))
     assert_fisher_close(
         fisher_diag(net, params, ds, max_samples=n, seed=0),
         loop_fisher_diag(net, params, ds, max_samples=n, seed=0),
