@@ -388,7 +388,11 @@ def cmd_compare(args):
     pairs = list(zip(args.summaries, summaries))
     groups = {}
     for path, summary in pairs:
-        groups.setdefault(summary["variant"], []).append((path, summary))
+        group = groups.setdefault(summary["variant"], [])
+        if twins := [p for p, s in group if s["seed"] == summary["seed"]]:
+            print(f"error: {path} repeats the variant and seed of {twins[0]}", file=sys.stderr)
+            return 2
+        group.append((path, summary))
     checks = [(pairs, FAMILY_KEYS)] + [(group, _variant_keys(variant))
                                        for variant, group in groups.items()]
     for group, keys in checks:

@@ -164,11 +164,11 @@ def baseline_cnn(input_shape=(1, 28, 28)):
 
 
 def lr_at_round(round_idx, base, decay):
-    """Per-communication-round learning rate: base * decay**(round-1)."""
-    if not (0 < base < np.inf and 0 < decay <= 1):
-        raise ConfigError(f"invalid lr schedule base={base} decay={decay}")
+    """Per-communication-round learning rate: base * decay**(round-1), > 0."""
     if round_idx < 1:
         raise ConfigError(f"round index must be >= 1, got {round_idx}")
+    if not (0 < base < np.inf and 0 < decay <= 1 and base * decay ** (round_idx - 1) > 0):
+        raise ConfigError(f"invalid lr schedule base={base} decay={decay} at round {round_idx}")
     return base * decay ** (round_idx - 1)
 
 

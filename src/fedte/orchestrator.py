@@ -4,13 +4,14 @@ The loop is fully deterministic given the config seed. Every random stream is
 derived from (seed, purpose-code, ...) tuples so that paired runs of different
 algorithm variants share client selections, partitions and batch orders.
 
-When BLAS runs one thread per call, each phase of a round runs its
-independent jobs on up to one thread per usable CPU, the calling thread and a
-pool opened for the run: the Fisher's 64-example chunks, the selected clients
+With numpy's OpenBLAS set to one thread per call, each phase of a round runs
+its independent jobs on up to one thread per usable CPU, the calling thread and
+a pool opened for the run: the Fisher's 64-example chunks, the selected clients
 and the evaluation's 256-image batches. Results are combined in a fixed order
 (chunk, selection, batch), so the thread count changes no result.
 """
 
+import ctypes
 import functools
 import os
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -69,7 +70,7 @@ class FedConfig:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        lr_at_round(1, self.lr, self.lr_decay)  # the lr schedule's own check
+        lr_at_round(self.rounds, self.lr, self.lr_decay)  # the schedule at its least rate
 
     @property
     def uses_fisher(self):
@@ -189,30 +190,26 @@ def prepare(cfg, train, net):
                       global_params, tracker, [])
 
 
-def _usable_cpus():
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _blas_threads():
-    """BLAS threads per call as the environment sets them, in OpenBLAS's order
-    of precedence; None if unset."""
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(name, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value)
+@functools.cache
+def _openblas():
+    """(get, set) of the loaded OpenBLAS's thread count, looked up by ctypes on
+    first use; None where there is none (not Linux, MKL, Accelerate)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(None, 5)[5].rstrip("\n") for line in maps if "openblas" in line}
+    except OSError:
+        return None
+    for path in sorted(filter(os.path.exists, paths)):  # skip a mapped file since deleted
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_%s_num_threads64_",  # numpy 2's wheels
+                     "openblas_%s_num_threads64_",  # numpy 1's 64-bit-integer build
+                     "openblas_%s_num_threads"):  # a plain build
+            if hasattr(lib, name % "get") and hasattr(lib, name % "set"):
+                return getattr(lib, name % "get"), getattr(lib, name % "set")
     return None
-
-
-def _client_threads(cfg):
-    """Threads to run a round's jobs on: one per usable CPU, at most one per
-    selected client, if BLAS runs one thread per call. Otherwise one: threads
-    that each start multithreaded BLAS calls oversubscribe the CPUs, which
-    made rounds slower than training clients one at a time."""
-    if _blas_threads() != 1:
-        return 1
-    return min(_usable_cpus(), _selection_size(cfg.clients, cfg.ratio))
 
 
 def _map_in_order(pool, fn, items):
@@ -264,11 +261,17 @@ def run_experiment(cfg, state, test, net, on_round=None):
     """Advance `state` from `prepare` to round `cfg.rounds`; returns its records.
 
     `on_round` is called with the RoundState after each round. The run's pool
-    is shut down before this returns or raises.
+    is shut down and the BLAS thread count restored before this returns or raises.
     """
-    threads = _client_threads(cfg)
+    get_blas, set_blas = _openblas() or (None, None)
+    # one thread without it: concurrent multithreaded BLAS calls oversubscribe the CPUs
+    threads = (min(len(os.sched_getaffinity(0)), _selection_size(cfg.clients, cfg.ratio))
+               if set_blas else 1)
     pool = (ThreadPoolExecutor(threads - 1, thread_name_prefix="fedte-pool")
             if threads > 1 else None)
+    if pool is not None:  # one BLAS thread per call while the pool runs
+        blas_threads = get_blas()
+        set_blas(1)
     pool_map = functools.partial(_map_in_order, pool)
     try:
         for t in range(len(state.records) + 1, cfg.rounds + 1):
@@ -305,3 +308,4 @@ def run_experiment(cfg, state, test, net, on_round=None):
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+            set_blas(blas_threads)

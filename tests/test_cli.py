@@ -11,7 +11,7 @@ import pytest
 import fedte
 from fedte.cli import DEFAULTS, build_parser, load_dataset, main, merge_options, parse_config_file
 from fedte.data import load_idx
-from fedte.orchestrator import VARIANT_KINDS, FedConfig
+from fedte.orchestrator import VARIANT_KINDS, FedConfig, _openblas
 
 from conftest import save_idx, synth_dataset, write_idx_dataset
 
@@ -176,6 +176,20 @@ def test_compare_unwritable_report_is_an_error(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ") and "file" in err[0]
 
 
+def test_compare_refuses_a_repeated_run(tmp_path, capsys):
+    # a seed counted twice would weigh one run double in every median
+    a = _write_summary(tmp_path / "a.json", "fedavg", [0.9], seed=1)
+    b = _write_summary(tmp_path / "b.json", "fedavg", [0.8], seed=1)
+    c = _write_summary(tmp_path / "c.json", "fedprox", [0.9], seed=1)
+    for first, second in ((a, a), (a, b)):
+        assert main(["compare", c, first, second]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and len(err) == 1 and err[0].startswith("error: ")
+        assert first in err[0] and second in err[0]
+    assert main(["compare", a, c]) == 0
+
+
 @pytest.mark.parametrize("key", ["rounds", "window"])
 def test_compare_refuses_mismatched_configs(tmp_path, capsys, key):
     a = _write_summary(tmp_path / "a.json", "fedprox", [0.9])
@@ -326,8 +340,10 @@ def test_run_negative_limit_fails_before_loading_data(data_dir, tmp_path, monkey
 
 
 @pytest.mark.parametrize("flags", [["--lr", "-1"], ["--lr", "0"], ["--lr-decay", "0"],
-                                   ["--lr-decay", "1.5"]],
-                         ids=["lr-negative", "lr-zero", "decay-zero", "decay-above-one"])
+                                   ["--lr-decay", "1.5"],
+                                   ["--lr-decay", "1e-200", "--rounds", "4"]],
+                         ids=["lr-negative", "lr-zero", "decay-zero", "decay-above-one",
+                              "lr-underflows"])
 def test_run_bad_lr_schedule_fails_before_any_run_dir(data_dir, tmp_path, capsys, flags):
     out = tmp_path / "out"
     assert run_cli(data_dir, out, "--variant", "fedavg", "--seed", "1", *flags) == 1
@@ -451,7 +467,27 @@ class FakeLibc:
         return 1
 
 
-def test_run_pins_malloc_thresholds_before_loading_data(data_dir, tmp_path, monkeypatch):
+@pytest.fixture
+def fresh_openblas():
+    """For a test that fakes ctypes: run_experiment looks OpenBLAS up again
+    during the test, and again after it."""
+    _openblas.cache_clear()
+    yield
+    _openblas.cache_clear()
+
+
+def mapped_openblas():
+    """The existing OpenBLAS files this process maps, in the order the lookup
+    loads them."""
+    if not os.path.exists("/proc/self/maps"):
+        return []
+    with open("/proc/self/maps") as maps:
+        paths = {line.split(None, 5)[5].rstrip("\n") for line in maps if "openblas" in line}
+    return sorted(filter(os.path.exists, paths))
+
+
+def test_run_pins_malloc_thresholds_before_loading_data(data_dir, tmp_path, monkeypatch,
+                                                        fresh_openblas):
     calls = []
 
     def fake_cdll(name, *args, **kwargs):
@@ -468,7 +504,9 @@ def test_run_pins_malloc_thresholds_before_loading_data(data_dir, tmp_path, monk
     assert calls == [("load", "libc.so.6"),
                      ("mallopt", M_MMAP_THRESHOLD, 32 << 20),
                      ("mallopt", M_TRIM_THRESHOLD, 64 << 20),
-                     ("load_dataset",)]
+                     ("load_dataset",),
+                     # run_experiment's OpenBLAS lookup, which finds no symbol in FakeLibc
+                     *[("load", path) for path in mapped_openblas()]]
 
 
 class NoMallopt:
@@ -481,7 +519,8 @@ def no_libc(*args, **kwargs):
 
 @pytest.mark.parametrize("cdll", [lambda *a, **k: NoMallopt(), no_libc],
                          ids=["mallopt-absent", "library-fails-to-load"])
-def test_run_without_mallopt_still_runs(data_dir, tmp_path, monkeypatch, cdll):
+def test_run_without_mallopt_still_runs(data_dir, tmp_path, monkeypatch, cdll,
+                                       fresh_openblas):
     monkeypatch.setattr(ctypes, "CDLL", cdll)
     out = tmp_path / "out"
     assert run_cli(data_dir, out, "--variant", "fedavg") == 0

@@ -9,7 +9,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from fedte import penalties
+from fedte import orchestrator, penalties
 from fedte.data import (
     Dataset,
     _pixels,
@@ -26,6 +26,7 @@ from fedte.orchestrator import (
     _SEED_PROXY,
     FedConfig,
     _map_in_order,
+    _openblas,
     RoundRecord,
     aggregate,
     evaluate,
@@ -278,6 +279,10 @@ def test_shards_and_proxy_are_sorted_disjoint_and_cover_every_row(gamma):
 
 # -- concurrent clients ------------------------------------------------------
 
+needs_openblas = pytest.mark.skipif(_openblas() is None,
+                                    reason="numpy's BLAS is not a known OpenBLAS")
+
+
 def three_client_cfg(kind, **overrides):
     """A -TE config that selects 3 of 6 clients per round."""
     return tiny_cfg(make_variant(kind, alpha=0.5, beta=0.4), clients=6, ratio=0.5,
@@ -285,9 +290,7 @@ def three_client_cfg(kind, **overrides):
 
 
 def use_cpus(monkeypatch, cpus):
-    """Make `cpus` CPUs usable to run_experiment, with one BLAS thread per
-    call as the environment sets it; None leaves the host's CPU count."""
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    """Make `cpus` CPUs usable to run_experiment; None leaves the host's count."""
     if cpus is not None:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
@@ -404,6 +407,7 @@ class Stop(Exception):
 POOLED_PHASES = {"fedprox-te": {}, "fedcl-te": {"proxy_fraction": 0.5, "fisher_samples": 130}}
 
 
+@needs_openblas
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_no_client_thread_outlives_run_experiment(monkeypatch):
     use_cpus(monkeypatch, 2)
@@ -448,15 +452,10 @@ def test_no_client_thread_outlives_run_experiment(monkeypatch):
     assert set(threading.enumerate()) == before
 
 
-def pool_threads(monkeypatch, blas_env, kind="fedprox-te"):
+def pool_threads(monkeypatch, kind="fedprox-te"):
     """Threads beside this one after each round of a 2-round run of 3 selected
-    clients on 8 usable CPUs, with only `blas_env` of the BLAS thread
-    variables set."""
+    clients on 8 usable CPUs."""
     use_cpus(monkeypatch, 8)
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(name, raising=False)
-    for name, value in blas_env.items():
-        monkeypatch.setenv(name, value)
     train, test = synth_dataset(600, 18), synth_dataset(300, 19)
     net = Network(tiny_spec())
     cfg = three_client_cfg(kind, rounds=2, **POOLED_PHASES[kind])
@@ -472,33 +471,133 @@ def pool_threads(monkeypatch, blas_env, kind="fedprox-te"):
     return len(alive[0])
 
 
+@needs_openblas
 @pytest.mark.parametrize("blas_env", [
     {},
     {"OPENBLAS_NUM_THREADS": "2"},
     {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"},
     {"OMP_NUM_THREADS": "0"},
-], ids=["unset", "openblas2", "openblas-over-omp", "omp0"])
-def test_clients_train_one_at_a_time_unless_blas_runs_one_thread(monkeypatch,
-                                                                  blas_env):
-    # client threads that each start multithreaded BLAS calls oversubscribe
-    # the CPUs, so only a BLAS thread count of one gets a pool
-    assert pool_threads(monkeypatch, blas_env) == 0
-
-
-@pytest.mark.parametrize("blas_env", [
     {"OPENBLAS_NUM_THREADS": "1"},
     {"OMP_NUM_THREADS": "1"},
     {"GOTO_NUM_THREADS": " 1 ", "OMP_NUM_THREADS": "4"},
-], ids=["openblas1", "omp1", "goto-over-omp"])
+], ids=["unset", "openblas2", "openblas4-omp1", "omp0", "openblas1", "omp1",
+        "goto-over-omp"])
 def test_clients_train_concurrently_when_blas_runs_one_thread(monkeypatch, blas_env):
-    # this thread and two pool threads train the 3 selected clients
-    assert pool_threads(monkeypatch, blas_env) == 2
+    # run_experiment sets OpenBLAS to one thread itself, so the pool's width
+    # depends on no BLAS variable: this thread and two pool threads train the
+    # 3 selected clients
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in blas_env.items():
+        monkeypatch.setenv(name, value)
+    assert pool_threads(monkeypatch) == 2
 
 
+def test_clients_train_one_at_a_time_without_openblas(monkeypatch):
+    # threads that each start multithreaded BLAS calls oversubscribe the
+    # CPUs, so a BLAS whose thread count cannot be set gets no pool
+    monkeypatch.setattr(orchestrator, "_openblas", lambda: None)
+    assert pool_threads(monkeypatch) == 0
+
+
+@needs_openblas
 def test_pool_thread_count_does_not_depend_on_the_first_phase(monkeypatch):
     # fedcl-te's first pool jobs are Fisher chunks, each far shorter than a
     # client: still one thread per submitted job up to the pool's width
-    assert pool_threads(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"}, "fedcl-te") == 2
+    assert pool_threads(monkeypatch, "fedcl-te") == 2
+
+
+@pytest.fixture
+def blas_at_3():
+    """OpenBLAS at 3 threads per call, a count run_experiment never sets;
+    the count the test found is restored after it."""
+    get, set_ = _openblas()
+    found = get()
+    set_(3)
+    yield get
+    set_(found)
+
+
+@needs_openblas
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_sets_openblas_to_one_thread_and_restores_it(monkeypatch, blas_at_3):
+    use_cpus(monkeypatch, 2)
+    train, test = synth_dataset(300, 20), synth_dataset(100, 21)
+    net = Network(tiny_spec())
+    cfg = three_client_cfg("fedprox-te", batch=16, rounds=2)
+    inside = []
+
+    def on_round(state):
+        inside.append(blas_at_3())
+
+    run_experiment(cfg, prepare(cfg, train, net), test, net, on_round=on_round)
+    assert inside == [1, 1] and blas_at_3() == 3
+
+    state, _, _ = poisoned_state(cfg, train, net)
+    with pytest.raises(DivergenceError):
+        run_experiment(cfg, state, test, net)
+    assert blas_at_3() == 3
+
+    def stop(state):
+        inside.append(blas_at_3())
+        raise Stop
+
+    with pytest.raises(Stop):
+        run_experiment(cfg, prepare(cfg, train, net), test, net, on_round=stop)
+    assert inside == [1, 1, 1] and blas_at_3() == 3
+
+
+@needs_openblas
+def test_one_thread_leaves_blas_alone(monkeypatch, blas_at_3):
+    # one usable CPU, or one selected client: no pool, and BLAS keeps its count
+    train, test = synth_dataset(300, 22), synth_dataset(100, 23)
+    net = Network(tiny_spec())
+    for cpus, cfg in ((1, three_client_cfg("fedprox-te", rounds=1)),
+                      (8, tiny_cfg(make_variant("fedprox-te"), ratio=0.2, rounds=1))):
+        use_cpus(monkeypatch, cpus)
+        inside = []
+        run_experiment(cfg, prepare(cfg, train, net), test, net,
+                       on_round=lambda state: inside.append(blas_at_3()))
+        assert inside == [3] and blas_at_3() == 3
+
+
+# fedte's GEMMs at B=50, MNIST shape: conv1 and conv2 as im2col products, the
+# conv input gradient's col2im product, dense1 at a training and an evaluation
+# batch, and the Fisher's float64 product. Calls of 1 to 3 rows take other
+# OpenBLAS kernels with other bits (numpy 2.4's wheel), so the row slices hold
+# 4 rows or more: the row blocks OpenBLAS gives its threads, and fedte splits
+# no product into smaller calls than its fixed batches and chunks.
+CANARY_GEMMS = [((576, 25), (25, 16), np.float32), ((4096, 400), (400, 32), np.float32),
+                ((3200, 32), (32, 16), np.float32), ((50, 512), (512, 512), np.float32),
+                ((256, 512), (512, 512), np.float32), ((512, 64), (64, 512), np.float64)]
+ROW_INDEPENDENCE = ("fedte assumes that a GEMM row's bits do not depend on BLAS's thread "
+                    "count or on how many rows are in the call: the chunked forward, the "
+                    "pooled evaluation and the client pool rest on it, and on this BLAS "
+                    "the thread count can change results")
+
+
+@pytest.mark.parametrize("a_shape, b_shape, dtype", CANARY_GEMMS,
+                         ids=["conv1", "conv2", "col2im", "dense-b50", "dense-b256",
+                              "fisher"])
+def test_blas_canary_gemm_rows_independent_of_threads_and_rows(a_shape, b_shape, dtype):
+    rng = np.random.default_rng(24)
+    a = rng.standard_normal(a_shape).astype(dtype)
+    b = rng.standard_normal(b_shape).astype(dtype)
+    full = a @ b
+    rows = a_shape[0]
+    for start, stop in ((0, 4), (5, 12), (3, 67), (rows // 2, rows), (1, rows)):
+        assert np.array_equal(a[start:stop] @ b, full[start:stop]), ROW_INDEPENDENCE
+    blas = _openblas()
+    if blas is None:
+        return
+    get, set_ = blas
+    found = get()
+    try:
+        for threads in (1, max(2, len(os.sched_getaffinity(0)))):
+            set_(threads)
+            assert np.array_equal(a @ b, full), ROW_INDEPENDENCE
+    finally:
+        set_(found)
 
 
 # -- the ordered map -----------------------------------------------------------
