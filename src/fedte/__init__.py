@@ -6,13 +6,8 @@ from .nn import Batch, Conv, Dense, ModelSpec, Network, Pool, baseline_cnn
 from .data import Dataset
 from .penalties import FisherDiag, Prox, fisher_diag
 from .target import TargetTracker
-from .orchestrator import (
-    FedConfig,
-    RoundRecord,
-    RoundState,
-    prepare,
-    run_experiment,
-)
+from .orchestrator import (FedConfig, RoundRecord, RoundState, Split, prepare, run_experiment,
+                           run_round)
 from .analysis import (
     Trajectory2D,
     converged_accuracy,
@@ -22,8 +17,8 @@ from .analysis import (
 
 __all__ = [
     "Batch", "Conv", "Dataset", "Dense", "FedConfig", "FisherDiag",
-    "ModelSpec", "Network", "Pool", "Prox", "RoundRecord", "RoundState",
+    "ModelSpec", "Network", "Pool", "Prox", "RoundRecord", "RoundState", "Split",
     "TargetTracker", "Trajectory2D",
     "baseline_cnn", "converged_accuracy", "fisher_diag", "pca_trajectory",
-    "prepare", "rounds_to_accuracy", "run_experiment",
+    "prepare", "rounds_to_accuracy", "run_experiment", "run_round",
 ]

@@ -217,7 +217,7 @@ def run_single(opts, cfg, thresholds, train, test):
     """One (variant, seed) run of `cfg`; returns the output directory."""
     stride = opts["traj_stride"] if opts["save_trajectory"] else 0
     net = Network(baseline_cnn(train.input_shape))
-    state = prepare(cfg, train, net)  # rejects the config before any output
+    split, state = prepare(cfg, train, net)  # rejects the config before any output
 
     run_dir = os.path.join(opts["out_dir"], f"{cfg.variant}_seed{cfg.seed}")
     os.makedirs(run_dir, exist_ok=True)
@@ -232,20 +232,15 @@ def run_single(opts, cfg, thresholds, train, test):
 
         def on_round(state):
             rec = state.records[-1]
-            writer.writerow([
-                rec.round,
-                ";".join(str(c) for c in rec.selected),
-                repr(rec.test_accuracy),
-                repr(rec.test_loss),
-                repr(rec.lr),
-            ])
+            writer.writerow([rec.round, ";".join(str(c) for c in rec.selected),
+                             repr(rec.test_accuracy), repr(rec.test_loss), repr(rec.lr)])
             f.flush()
             if stride and ((rec.round - 1) % stride == 0 or rec.round == cfg.rounds):
                 stored.append((rec.round, state.global_params.copy()))
 
-        records = run_experiment(cfg, state, test, net, on_round=on_round)
+        records = run_experiment(cfg, split, state, test, net, on_round=on_round)
     # the models, proxy copy and shard rows are garbage now; free them before the PCA
-    del state
+    del split, state
 
     accuracy = [r.test_accuracy for r in records]
     summary = {
@@ -350,6 +345,13 @@ def _load_summary(path):
     missing += [f"config.{k}" for k in FAMILY_KEYS + VARIANT_KEYS if k not in config]
     if missing:
         raise ConfigError(f"{path}: missing {', '.join(missing)}")
+    real = (int, float)  # JSON numbers: type(), not isinstance, so that no bool passes
+    wanted = {"variant": (str,), "seed": (int,), "accuracy": (list,), "converged_accuracy": real}
+    wrong = [k for k, types in wanted.items() if type(summary[k]) not in types]
+    if "accuracy" not in wrong and any(type(a) not in real for a in summary["accuracy"]):
+        wrong.append("accuracy")
+    if wrong:
+        raise ConfigError(f"{path}: wrong type of {', '.join(wrong)}")
     return summary
 
 

@@ -5,8 +5,10 @@ the rows a reader gathers to float32 in [0, 1], elementwise, so a batch has
 the bits of one gathered from a dataset converted whole at load time.
 """
 
+import contextlib
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +44,16 @@ class Dataset:
         return tuple(self.images.shape[1:])
 
 
+@contextlib.contextmanager
 def _open_maybe_gzip(path):
     with open(path, "rb") as f:
         gzipped = f.read(2) == b"\x1f\x8b"
-    return gzip.open(path) if gzipped else open(path, "rb")
+    try:
+        with gzip.open(path) if gzipped else open(path, "rb") as f:
+            yield f
+            f.read()  # to the end, where gzip checks the stream's CRC and length
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:  # a truncated or corrupt stream
+        raise IngestionError(f"{path}: {exc}") from None
 
 
 def _class_labels(raw, path):

@@ -90,13 +90,19 @@ class RoundRecord:
     lr: float
 
 
-@dataclass
-class RoundState:
-    """A run between rounds: its data split and all that a round hands the next."""
+@dataclass(frozen=True)
+class Split:
+    """The data of a run, derived by `prepare` from (cfg, train); no round changes it."""
 
     train: Dataset  # the caller's training set, shared, not copied
     proxy: Dataset  # a copy of the proxy rows, `proxy_fraction` of `train`
     shards: list  # one sorted array of `train` rows per client
+
+
+@dataclass
+class RoundState:
+    """All that a round hands the next: a run between rounds, given its Split."""
+
     global_params: np.ndarray
     target: np.ndarray  # anchor of the next round's local training
     tracker: Optional[TargetTracker]  # the -TE ensemble; None for other variants
@@ -173,7 +179,7 @@ def evaluate(net, params, ds, batch_size=256, map=map):
 
 
 def prepare(cfg, train, net):
-    """The RoundState before round 1; raises every ConfigError the data can cause."""
+    """(Split, RoundState before round 1); raises every ConfigError the data can cause."""
     # the proxy split happens for every variant so that paired runs of
     # different algorithms train on identical shards
     train_rows, proxy_rows = split_proxy(train.labels, cfg.proxy_fraction,
@@ -186,8 +192,8 @@ def prepare(cfg, train, net):
     global_params = net.init_params((cfg.seed, _SEED_INIT))
     tracker = TargetTracker(cfg.beta) if cfg.uses_ensemble else None
     # round 1 anchors local training to the initial model
-    return RoundState(train, train.subset(proxy_rows), shards, global_params,
-                      global_params, tracker, [])
+    return (Split(train, train.subset(proxy_rows), shards),
+            RoundState(global_params, global_params, tracker, []))
 
 
 @functools.cache
@@ -257,12 +263,40 @@ def _run_here(fn, x):
     return job
 
 
-def run_experiment(cfg, state, test, net, on_round=None):
-    """Advance `state` from `prepare` to round `cfg.rounds`; returns its records.
+def run_round(cfg, split, state, test, net, map=map):
+    """Advance `state` by one round and append its RoundRecord. `map` runs the
+    Fisher's chunks, the clients and the evaluation's batches, as `evaluate`'s."""
+    t = len(state.records) + 1
+    lr = lr_at_round(t, cfg.lr, cfg.lr_decay)
+    selected = select_clients(cfg.clients, cfg.ratio, t, cfg.seed)
 
-    `on_round` is called with the RoundState after each round. The run's pool
-    is shut down and the BLAS thread count restored before this returns or raises.
-    """
+    if cfg.variant == "fedavg":
+        penalty = None
+    elif cfg.uses_fisher:
+        fisher = penalties.fisher_diag(net, state.target, split.proxy, cfg.fisher_samples,
+                                       (cfg.seed, _SEED_FISHER, t), map=map)
+        penalty = penalties.FisherDiag(cfg.alpha, state.target, fisher)
+    else:
+        penalty = penalties.Prox(cfg.alpha, state.target)
+
+    def train(k):
+        return local_train(net, state.global_params, split.train, split.shards[k], penalty,
+                           cfg.epochs, cfg.batch, lr, seed=(cfg.seed, _SEED_BATCH, t, k),
+                           round_idx=t, client_id=k)
+
+    models, counts = zip(*map(train, selected))
+    state.global_params = aggregate(models, counts)
+    state.target = (state.tracker.update(state.global_params) if state.tracker
+                    else state.global_params)
+    accuracy, loss = evaluate(net, state.global_params, test, map=map)
+    state.records.append(RoundRecord(t, selected, accuracy, loss, lr))
+
+
+def run_experiment(cfg, split, state, test, net, on_round=None):
+    """Advance `state`, from `prepare` or a copy of one between rounds, to round
+    `cfg.rounds`, calling `on_round` with it after each round; returns its records.
+    The run's pool is shut down and the BLAS thread count restored before this
+    returns or raises."""
     get_blas, set_blas = _openblas() or (None, None)
     # one thread without it: concurrent multithreaded BLAS calls oversubscribe the CPUs
     threads = (min(len(os.sched_getaffinity(0)), _selection_size(cfg.clients, cfg.ratio))
@@ -272,36 +306,9 @@ def run_experiment(cfg, state, test, net, on_round=None):
     if pool is not None:  # one BLAS thread per call while the pool runs
         blas_threads = get_blas()
         set_blas(1)
-    pool_map = functools.partial(_map_in_order, pool)
     try:
-        for t in range(len(state.records) + 1, cfg.rounds + 1):
-            lr = lr_at_round(t, cfg.lr, cfg.lr_decay)
-            selected = select_clients(cfg.clients, cfg.ratio, t, cfg.seed)
-
-            if cfg.variant == "fedavg":
-                penalty = None
-            elif cfg.uses_fisher:
-                fisher = penalties.fisher_diag(
-                    net, state.target, state.proxy, cfg.fisher_samples,
-                    (cfg.seed, _SEED_FISHER, t), map=pool_map)
-                penalty = penalties.FisherDiag(cfg.alpha, state.target, fisher)
-            else:
-                penalty = penalties.Prox(cfg.alpha, state.target)
-
-            def train(k):
-                return local_train(
-                    net, state.global_params, state.train, state.shards[k], penalty,
-                    cfg.epochs, cfg.batch, lr,
-                    seed=(cfg.seed, _SEED_BATCH, t, k), round_idx=t, client_id=k,
-                )
-
-            models, counts = zip(*pool_map(train, selected))
-            state.global_params = aggregate(models, counts)
-            state.target = (state.tracker.update(state.global_params) if state.tracker
-                            else state.global_params)
-
-            accuracy, loss = evaluate(net, state.global_params, test, map=pool_map)
-            state.records.append(RoundRecord(t, selected, accuracy, loss, lr))
+        while len(state.records) < cfg.rounds:
+            run_round(cfg, split, state, test, net, map=functools.partial(_map_in_order, pool))
             if on_round is not None:
                 on_round(state)
         return state.records

@@ -1,3 +1,4 @@
+import gzip
 import os
 import struct
 from dataclasses import replace
@@ -5,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedte.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, Dataset
+from fedte.data import CIFAR_RECORD_BYTES, IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, Dataset
 from fedte.nn import Batch, Conv, Dense, ModelSpec, Network, Pool
 from fedte.orchestrator import FedConfig, prepare, run_experiment
 from fedte.penalties import FisherDiag, Prox
@@ -138,7 +139,7 @@ def run_fed(cfg, train, test, net, **kwargs):
     """`prepare`, then `run_experiment`; returns (records, global model of each round)."""
     models = []
     records = run_experiment(
-        cfg, prepare(cfg, train, net), test, net,
+        cfg, *prepare(cfg, train, net), test, net,
         on_round=lambda state: models.append(state.global_params.copy()), **kwargs,
     )
     return records, models
@@ -210,6 +211,34 @@ def write_idx_dataset(dir_path, n_train=400, n_test=100, side=16, seed=0):
              os.path.join(dir_path, "t10k-images-idx3-ubyte"),
              os.path.join(dir_path, "t10k-labels-idx1-ubyte"))
     return dir_path
+
+
+def cifar_bytes(n, seed=0):
+    """`n` CIFAR-10 binary records: a label byte, then 3072 random pixel bytes."""
+    records = np.random.default_rng(seed).integers(0, 256, (n, CIFAR_RECORD_BYTES),
+                                                    dtype=np.uint8)
+    records[:, 0] %= 10
+    return records.tobytes()
+
+
+def gzip_damaged(path, damage):
+    """Replace the file at `path` by a damaged gzip of it at `path`.gz:
+    "truncated" cuts the gzip file to half its length, "corrupt" XORs bytes
+    100-399 of its deflate stream, "bad-header" names an unknown compression
+    method. Returns the new path."""
+    with open(path, "rb") as f:
+        packed = bytearray(gzip.compress(f.read(), mtime=0))
+    os.remove(path)
+    if damage == "truncated":
+        del packed[len(packed) // 2:]
+    elif damage == "corrupt":  # the deflate stream follows gzip's 10-byte header
+        packed[110:410] = bytes(b ^ 0x55 for b in packed[110:410])
+    else:
+        assert damage == "bad-header", damage
+        packed[2] = 7  # 8, deflate, is gzip's one method
+    with open(path + ".gz", "wb") as f:
+        f.write(packed)
+    return path + ".gz"
 
 
 def _dataset_dir(name):

@@ -193,7 +193,7 @@ def _rounds_to(variant, threshold, seeds, cfg_kwargs, train, test, max_rounds):
     for seed in seeds:
         cfg = tiny_cfg(variant, seed=seed, rounds=max_rounds, **cfg_kwargs)
         net = Network(baseline_cnn(train.input_shape))
-        records = run_experiment(cfg, prepare(cfg, train, net), test, net)
+        records = run_experiment(cfg, *prepare(cfg, train, net), test, net)
         accuracy = [r.test_accuracy for r in records]
         results.append((rounds_to_accuracy(accuracy, threshold), records))
     return results
@@ -253,7 +253,7 @@ def test_criterion_10_cifar_smoke(cifar_dir):
         fisher_samples=1024, seed=1,
     )
     net = Network(baseline_cnn(train.input_shape))
-    records = run_experiment(cfg, prepare(cfg, train, net), test, net)
+    records = run_experiment(cfg, *prepare(cfg, train, net), test, net)
     assert len(records) == 30
     assert all(np.isfinite(r.test_loss) for r in records)
     report(10, f"30-round CIFAR10 run finished, final acc "

@@ -13,7 +13,7 @@ from fedte.cli import DEFAULTS, build_parser, load_dataset, main, merge_options,
 from fedte.data import load_idx
 from fedte.orchestrator import VARIANT_KINDS, FedConfig, _openblas
 
-from conftest import save_idx, synth_dataset, write_idx_dataset
+from conftest import cifar_bytes, gzip_damaged, save_idx, synth_dataset, write_idx_dataset
 
 
 BASE_FLAGS = [
@@ -304,7 +304,24 @@ def test_compare_missing_summary_is_an_error(tmp_path, capsys):
 
 
 
-@pytest.mark.parametrize("bad", ["{}", "list", "variant", "seed", "accuracy", "config"])
+# a summary key and a value of the wrong JSON type for it
+MISTYPED = {
+    "variant-list": ("variant", ["fedprox"]),
+    "variant-number": ("variant", 1),
+    "seed-list": ("seed", [1]),
+    "seed-bool": ("seed", True),
+    "seed-float": ("seed", 1.0),
+    "accuracy-strings": ("accuracy", ["abc"]),
+    "accuracy-bools": ("accuracy", [0.9, True]),
+    "accuracy-number": ("accuracy", 0.9),
+    "accuracy-object": ("accuracy", {}),
+    "converged-string": ("converged_accuracy", "x"),
+    "converged-null": ("converged_accuracy", None),
+}
+
+
+@pytest.mark.parametrize("bad", ["{}", "list", "variant", "seed", "accuracy", "config",
+                                 *MISTYPED])
 def test_compare_malformed_summary_is_an_error(tmp_path, capsys, bad):
     good = _write_summary(tmp_path / "good.json", "fedprox", [0.9])
     payload = json.loads((tmp_path / "good.json").read_text())
@@ -312,6 +329,9 @@ def test_compare_malformed_summary_is_an_error(tmp_path, capsys, bad):
         payload = {}
     elif bad == "list":
         payload = [payload]
+    elif bad in MISTYPED:
+        key, value = MISTYPED[bad]
+        payload[key] = value
     else:
         del payload[bad]
     path = tmp_path / "bad.json"
@@ -321,6 +341,9 @@ def test_compare_malformed_summary_is_an_error(tmp_path, capsys, bad):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}:")
+        assert len(captured.err.splitlines()) == 1
+        if bad in MISTYPED:
+            assert MISTYPED[bad][0] in captured.err
 
 
 @pytest.mark.parametrize("flag", ["--limit-train", "--limit-test"])
@@ -407,6 +430,28 @@ def test_run_bad_data_files_fail_before_any_output(tmp_path, capsys, case, named
     assert captured.err.startswith("error:") and named in captured.err
     assert len(captured.err.splitlines()) == 1
     assert not list(tmp_path.glob("out/*_seed*"))
+
+
+@pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+@pytest.mark.parametrize("dataset", ["mnist", "cifar10"])
+def test_run_damaged_gzip_file_fails_before_any_output(tmp_path, capsys, dataset, damage):
+    data = tmp_path / "data"
+    if dataset == "mnist":
+        write_idx_dataset(str(data))
+        damaged = gzip_damaged(str(data / "train-images-idx3-ubyte"), damage)
+    else:
+        data.mkdir()
+        for seed, name in enumerate([f"data_batch_{i}" for i in range(1, 6)] + ["test_batch"]):
+            (data / f"{name}.bin").write_bytes(cifar_bytes(20, seed))
+        damaged = gzip_damaged(str(data / "data_batch_3.bin"), damage)
+    out = tmp_path / "out"
+    assert main(["run", "--dataset", dataset, "--data-dir", str(data), "--out-dir", str(out),
+                 *BASE_FLAGS, "--variant", "fedavg", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {damaged}: ")
+    assert len(captured.err.splitlines()) == 1
+    assert not out.exists()
 
 
 def _run_actions():

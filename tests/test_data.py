@@ -1,5 +1,6 @@
 import gc
 import gzip
+import re
 import struct
 import tracemalloc
 import warnings
@@ -18,7 +19,7 @@ from fedte.data import (
 )
 from fedte.errors import ConfigError, IngestionError
 
-from conftest import save_idx, synth_dataset
+from conftest import cifar_bytes, gzip_damaged, save_idx, synth_dataset
 
 
 def write_idx_pair(tmp_path, images, labels, name="fixture"):
@@ -58,6 +59,26 @@ def test_gzipped_idx_pair_loads_like_plain_and_closes_its_files(tmp_path):
     expected = load_idx(*plain)
     assert np.array_equal(ds.images, expected.images)
     assert np.array_equal(ds.labels, expected.labels)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "corrupt", "bad-header"])
+def test_damaged_gzip_file_is_an_ingestion_error_naming_it(tmp_path, damage):
+    # gzip raises EOFError, zlib.error or BadGzipFile, none of which `fedte run`
+    # catches. Corrupt deflate data fails to inflate (pixels 0-39); the stored
+    # blocks of random bytes inflate, and only their CRC, checked at the end of
+    # the stream, fails (pixels 0-255, and the CIFAR record)
+    rng = np.random.default_rng(0)
+    for high in (40, 256):
+        ip, lp = write_idx_pair(tmp_path, rng.integers(0, high, (50, 16, 16), dtype=np.uint8),
+                                rng.integers(0, 10, 50, dtype=np.uint8), name=f"high{high}")
+        damaged = gzip_damaged(ip, damage)
+        with pytest.raises(IngestionError, match=f"^{re.escape(damaged)}: "):
+            load_idx(damaged, lp)
+    path = tmp_path / "batch.bin"
+    path.write_bytes(cifar_bytes(4))
+    damaged = gzip_damaged(str(path), damage)
+    with pytest.raises(IngestionError, match=f"^{re.escape(damaged)}: "):
+        load_cifar10([damaged])
 
 
 def test_idx_bad_magic(tmp_path):

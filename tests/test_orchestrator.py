@@ -1,3 +1,4 @@
+import copy
 import functools
 import os
 import sys
@@ -5,6 +6,7 @@ import threading
 import tracemalloc
 import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from fedte.orchestrator import (
     _map_in_order,
     _openblas,
     RoundRecord,
+    Split,
     aggregate,
     evaluate,
     local_train,
@@ -198,7 +201,7 @@ def test_round_records_well_formed():
     def on_round(state):
         seen.append((list(state.records), state.global_params.copy()))
 
-    records = run_experiment(cfg, prepare(cfg, train, net), test, net, on_round=on_round)
+    records = run_experiment(cfg, *prepare(cfg, train, net), test, net, on_round=on_round)
     assert [r.round for r in records] == [1, 2, 3]
     assert [done for done, _ in seen] == [records[:t] for t in (1, 2, 3)]
     for rec, (_, params) in zip(records, seen):
@@ -252,11 +255,11 @@ def test_prepare_shares_the_callers_training_set():
     cfg = tiny_cfg(make_variant("fedprox-te", alpha=0.5, beta=0.4))
     tracemalloc.start()
     try:
-        state = prepare(cfg, train, Network(tiny_spec()))
+        split, _ = prepare(cfg, train, Network(tiny_spec()))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert state.train is train
+    assert split.train is train
     # the 5% proxy copy, the row arrays and the model: no copy of the images
     assert peak < train.images.nbytes / 4
 
@@ -265,11 +268,11 @@ def test_prepare_shares_the_callers_training_set():
 def test_shards_and_proxy_are_sorted_disjoint_and_cover_every_row(gamma):
     train = synth_dataset(500, 21)
     cfg = tiny_cfg(make_variant("fedavg"), clients=7, gamma=gamma)
-    state = prepare(cfg, train, Network(tiny_spec()))
+    split, _ = prepare(cfg, train, Network(tiny_spec()))
     _, proxy_rows = split_proxy(train.labels, cfg.proxy_fraction, (cfg.seed, _SEED_PROXY))
-    assert np.array_equal(state.proxy.images, train.images[proxy_rows])
-    assert np.array_equal(state.proxy.labels, train.labels[proxy_rows])
-    parts = [*state.shards, proxy_rows]
+    assert np.array_equal(split.proxy.images, train.images[proxy_rows])
+    assert np.array_equal(split.proxy.labels, train.labels[proxy_rows])
+    parts = [*split.shards, proxy_rows]
     assert len(parts) == 8
     for rows in parts:
         assert rows.size > 0
@@ -298,19 +301,19 @@ def use_cpus(monkeypatch, cpus):
 
 def sequential_run(cfg, train, test, net):
     """A -TE run as one plain loop of local_train and aggregate per round."""
-    state = prepare(cfg, train, net)
+    split, state = prepare(cfg, train, net)
     records, models = [], []
     for t in range(1, cfg.rounds + 1):
         lr = lr_at_round(t, cfg.lr, cfg.lr_decay)
         selected = select_clients(cfg.clients, cfg.ratio, t, cfg.seed)
         if cfg.uses_fisher:
-            fisher = fisher_diag(net, state.target, state.proxy, cfg.fisher_samples,
+            fisher = fisher_diag(net, state.target, split.proxy, cfg.fisher_samples,
                                  (cfg.seed, _SEED_FISHER, t))
             penalty = FisherDiag(cfg.alpha, state.target, fisher)
         else:
             penalty = Prox(cfg.alpha, state.target)
         trained = [
-            local_train(net, state.global_params, state.train, state.shards[k], penalty,
+            local_train(net, state.global_params, split.train, split.shards[k], penalty,
                         cfg.epochs, cfg.batch, lr, seed=(cfg.seed, _SEED_BATCH, t, k),
                         round_idx=t, client_id=k)
             for k in selected
@@ -356,20 +359,20 @@ def test_more_client_threads_than_cores_equal_sequential_loop(monkeypatch):
 
 
 def poisoned_state(cfg, train, net):
-    """Round 1's state on a copy of `train` with NaN pixels: the 3rd selected
-    client diverges at step 0 and the 2nd at the last step of its first
-    epoch. Returns (state, 2nd client, its failing step)."""
-    state = prepare(cfg, train, net)
-    state.train = Dataset(train.images.copy(), train.labels)
+    """Round 1's split and state on a copy of `train` with NaN pixels: the 3rd
+    selected client diverges at step 0 and the 2nd at the last step of its
+    first epoch. Returns (split, state, 2nd client, its failing step)."""
+    split, state = prepare(cfg, train, net)
+    split = Split(Dataset(train.images.copy(), train.labels), split.proxy, split.shards)
     _, second, third = select_clients(cfg.clients, cfg.ratio, 1, cfg.seed)
     # a dataset whose images are their own row numbers gives the batch order
     rows = Dataset(np.arange(len(train), dtype=np.float32).reshape(-1, 1, 1, 1),
                    train.labels)
-    batches = list(iterate_batches(rows, state.shards[second], cfg.batch,
+    batches = list(iterate_batches(rows, split.shards[second], cfg.batch,
                                    seed=(cfg.seed, _SEED_BATCH, 1, second, 0)))
-    state.train.images[int(batches[-1].inputs[0, 0, 0, 0])] = np.nan
-    state.train.images[state.shards[third]] = np.nan
-    return state, second, len(batches) - 1
+    split.train.images[int(batches[-1].inputs[0, 0, 0, 0])] = np.nan
+    split.train.images[split.shards[third]] = np.nan
+    return split, state, second, len(batches) - 1
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -380,20 +383,20 @@ def test_first_diverging_client_in_selection_order_is_reported(monkeypatch, cpus
     net = Network(tiny_spec())
     cfg = three_client_cfg("fedprox-te", batch=16, rounds=2)
 
-    state, second, step = poisoned_state(cfg, train, net)
+    split, state, second, step = poisoned_state(cfg, train, net)
     penalty = Prox(cfg.alpha, state.target)
     lr = lr_at_round(1, cfg.lr, cfg.lr_decay)
     with pytest.raises(DivergenceError) as sequential:
         for k in select_clients(cfg.clients, cfg.ratio, 1, cfg.seed):
-            local_train(net, state.global_params, state.train, state.shards[k], penalty,
+            local_train(net, state.global_params, split.train, split.shards[k], penalty,
                         cfg.epochs, cfg.batch, lr, seed=(cfg.seed, _SEED_BATCH, 1, k),
                         round_idx=1, client_id=k)
     assert (sequential.value.client_id, sequential.value.step) == (second, step)
     assert step > 0  # the 3rd client fails at step 0, so a mix-up would show
 
-    state, _, _ = poisoned_state(cfg, train, net)
+    split, state, _, _ = poisoned_state(cfg, train, net)
     with pytest.raises(DivergenceError) as err:
-        run_experiment(cfg, state, test, net)
+        run_experiment(cfg, split, state, test, net)
     assert (err.value.round_idx, err.value.client_id, err.value.step) == (1, second, step)
     assert state.records == []
 
@@ -421,20 +424,20 @@ def test_no_client_thread_outlives_run_experiment(monkeypatch):
         def on_round(state):
             alive.append(len(set(threading.enumerate()) - before))
 
-        run_experiment(cfg, prepare(cfg, train, net), test, net, on_round=on_round)
+        run_experiment(cfg, *prepare(cfg, train, net), test, net, on_round=on_round)
         assert alive == [1, 1]  # one pool thread next to this one, for the whole run
         assert set(threading.enumerate()) == before
 
-        state, _, _ = poisoned_state(cfg, train, net)
+        split, state, _, _ = poisoned_state(cfg, train, net)
         with pytest.raises(DivergenceError):
-            run_experiment(cfg, state, test, net)
+            run_experiment(cfg, split, state, test, net)
         assert set(threading.enumerate()) == before
 
         def stop(state):
             raise Stop
 
         with pytest.raises(Stop):
-            run_experiment(cfg, prepare(cfg, train, net), test, net, on_round=stop)
+            run_experiment(cfg, *prepare(cfg, train, net), test, net, on_round=stop)
         assert set(threading.enumerate()) == before
 
     # a Fisher chunk of the last run, fedcl-te's, fails on whichever thread runs it
@@ -447,7 +450,7 @@ def test_no_client_thread_outlives_run_experiment(monkeypatch):
 
     monkeypatch.setattr(net, "squared_grad_sum", failing_chunk)
     with pytest.raises(Stop):
-        run_experiment(cfg, prepare(cfg, train, net), test, net)
+        run_experiment(cfg, *prepare(cfg, train, net), test, net)
     assert chunks
     assert set(threading.enumerate()) == before
 
@@ -465,7 +468,7 @@ def pool_threads(monkeypatch, kind="fedprox-te"):
     def on_round(state):
         alive.append(set(threading.enumerate()) - before)
 
-    run_experiment(cfg, prepare(cfg, train, net), test, net, on_round=on_round)
+    run_experiment(cfg, *prepare(cfg, train, net), test, net, on_round=on_round)
     assert alive[0] == alive[1]  # the same threads serve every round
     assert all(t.name.startswith("fedte-pool") for t in alive[0])
     return len(alive[0])
@@ -507,6 +510,41 @@ def test_pool_thread_count_does_not_depend_on_the_first_phase(monkeypatch):
     assert pool_threads(monkeypatch, "fedcl-te") == 2
 
 
+@pytest.mark.parametrize("pool", [pytest.param(True, marks=needs_openblas), False],
+                         ids=["pool", "no-pool"])
+@pytest.mark.parametrize("kind", ["fedprox-te", "fedcl-te"])
+def test_run_continued_from_a_copy_of_its_state_is_the_uninterrupted_run(monkeypatch, kind,
+                                                                         pool):
+    # the RoundState is all a round carries: 3 rounds, then 3 more from a deep
+    # copy of the state, give the bits of 6 rounds in one run
+    if pool:
+        use_cpus(monkeypatch, 2)
+    else:
+        monkeypatch.setattr(orchestrator, "_openblas", lambda: None)
+    train, test = synth_dataset(600, 24), synth_dataset(300, 25)
+    net = Network(tiny_spec())
+    cfg = three_client_cfg(kind, rounds=6, **POOLED_PHASES[kind])
+    before, alive = set(threading.enumerate()), []
+
+    def on_round(state):
+        alive.append(len(set(threading.enumerate()) - before))
+
+    split, first = prepare(cfg, train, net)
+    run_experiment(replace(cfg, rounds=3), split, first, test, net, on_round=on_round)
+    continued = copy.deepcopy(first)
+    run_experiment(cfg, split, continued, test, net, on_round=on_round)
+    whole_split, whole = prepare(cfg, train, net)
+    run_experiment(cfg, whole_split, whole, test, net)
+
+    assert alive == [int(pool)] * 6  # one pool thread, or none
+    assert [r.round for r in first.records] == [1, 2, 3]  # the copy left it as it was
+    assert continued.records == whole.records
+    for name in ("global_params", "target"):
+        assert getattr(continued, name).tobytes() == getattr(whole, name).tobytes()
+    assert continued.tracker.round == whole.tracker.round == 6
+    assert continued.tracker._ensemble.tobytes() == whole.tracker._ensemble.tobytes()
+
+
 @pytest.fixture
 def blas_at_3():
     """OpenBLAS at 3 threads per call, a count run_experiment never sets;
@@ -530,12 +568,12 @@ def test_run_sets_openblas_to_one_thread_and_restores_it(monkeypatch, blas_at_3)
     def on_round(state):
         inside.append(blas_at_3())
 
-    run_experiment(cfg, prepare(cfg, train, net), test, net, on_round=on_round)
+    run_experiment(cfg, *prepare(cfg, train, net), test, net, on_round=on_round)
     assert inside == [1, 1] and blas_at_3() == 3
 
-    state, _, _ = poisoned_state(cfg, train, net)
+    split, state, _, _ = poisoned_state(cfg, train, net)
     with pytest.raises(DivergenceError):
-        run_experiment(cfg, state, test, net)
+        run_experiment(cfg, split, state, test, net)
     assert blas_at_3() == 3
 
     def stop(state):
@@ -543,7 +581,7 @@ def test_run_sets_openblas_to_one_thread_and_restores_it(monkeypatch, blas_at_3)
         raise Stop
 
     with pytest.raises(Stop):
-        run_experiment(cfg, prepare(cfg, train, net), test, net, on_round=stop)
+        run_experiment(cfg, *prepare(cfg, train, net), test, net, on_round=stop)
     assert inside == [1, 1, 1] and blas_at_3() == 3
 
 
@@ -556,7 +594,7 @@ def test_one_thread_leaves_blas_alone(monkeypatch, blas_at_3):
                       (8, tiny_cfg(make_variant("fedprox-te"), ratio=0.2, rounds=1))):
         use_cpus(monkeypatch, cpus)
         inside = []
-        run_experiment(cfg, prepare(cfg, train, net), test, net,
+        run_experiment(cfg, *prepare(cfg, train, net), test, net,
                        on_round=lambda state: inside.append(blas_at_3()))
         assert inside == [3] and blas_at_3() == 3
 
@@ -732,5 +770,5 @@ def test_uint8_storage_runs_bitwise_like_float32_storage(monkeypatch, tmp_path, 
     net = Network(ModelSpec((1, 16, 16), (Conv(4, kernel=5), Pool(), Dense(10, relu=False))))
     cfg = tiny_cfg(make_variant(kind, alpha=0.5, beta=0.4), rounds=2,
                    proxy_fraction=0.25, fisher_samples=100)
-    assert len(prepare(cfg, train, net).proxy) == 150
+    assert len(prepare(cfg, train, net)[0].proxy) == 150
     assert runs_equal(run_fed(cfg, train, test, net), run_fed(cfg, *converted, net))
