@@ -18,8 +18,6 @@ import sys
 from dataclasses import fields
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__
 from .analysis import check_threshold, converged_accuracy, rounds_to_accuracy
 from .data import load_cifar10, load_idx
@@ -91,26 +89,23 @@ def _find_file(data_dir, name):
     raise IngestionError(f"missing dataset file: {os.path.join(data_dir, name)}")
 
 
-def load_dataset(dataset, data_dir):
-    """Returns (train, test) for mnist / fashion / cifar10; both non-empty, one shape."""
+def load_dataset(dataset, data_dir, limit_train=0, limit_test=0):
+    """Returns (train, test) for mnist / fashion / cifar10, their first `limit_train`
+    and `limit_test` examples (all if 0); both non-empty, one shape. Every file
+    must exist, but a file past a limit's records is not opened."""
     if dataset in ("mnist", "fashion"):
-        train = load_idx(
-            _find_file(data_dir, "train-images-idx3-ubyte"),
-            _find_file(data_dir, "train-labels-idx1-ubyte"),
-        )
-        test = load_idx(
-            _find_file(data_dir, "t10k-images-idx3-ubyte"),
-            _find_file(data_dir, "t10k-labels-idx1-ubyte"),
-        )
+        train = load_idx(_find_file(data_dir, "train-images-idx3-ubyte"),
+                         _find_file(data_dir, "train-labels-idx1-ubyte"), limit_train)
+        test = load_idx(_find_file(data_dir, "t10k-images-idx3-ubyte"),
+                        _find_file(data_dir, "t10k-labels-idx1-ubyte"), limit_test)
     elif dataset == "cifar10":
         base = data_dir
         nested = os.path.join(data_dir, "cifar-10-batches-bin")
         if os.path.isdir(nested):
             base = nested
-        train = load_cifar10(
-            [_find_file(base, f"data_batch_{i}.bin") for i in range(1, 6)]
-        )
-        test = load_cifar10([_find_file(base, "test_batch.bin")])
+        train = load_cifar10([_find_file(base, f"data_batch_{i}.bin") for i in range(1, 6)],
+                             limit_train)
+        test = load_cifar10([_find_file(base, "test_batch.bin")], limit_test)
     else:
         raise ConfigError(f"unknown dataset {dataset!r}")
     for split, ds in (("train", train), ("test", test)):
@@ -144,7 +139,7 @@ def _pin_malloc():
 
 _RUN_HELP = {
     "seed": "seed or comma-separated seed list",
-    "limit_train": "truncate training set to N examples (0 = full)",
+    "limit_train": "read only the first N training examples (0 = all)",
     "thresholds": "comma-separated accuracy thresholds",
     "window": "converged-accuracy window in rounds",
 }
@@ -236,7 +231,7 @@ def run_single(opts, cfg, thresholds, train, test):
                              repr(rec.test_accuracy), repr(rec.test_loss), repr(rec.lr)])
             f.flush()
             if stride and ((rec.round - 1) % stride == 0 or rec.round == cfg.rounds):
-                stored.append((rec.round, state.global_params.copy()))
+                stored.append((rec.round, state.global_params))  # each round's new array
 
         records = run_experiment(cfg, split, state, test, net, on_round=on_round)
     # the models, proxy copy and shard rows are garbage now; free them before the PCA
@@ -301,14 +296,11 @@ def cmd_run(args):
                 raise ConfigError(f"{key} must be >= {low}, got {opts[key]}")
         training = {f.name: opts[f.name] for f in fields(FedConfig)}
         cfgs = [FedConfig(**training | {"seed": s}) for s in _parse_seeds(opts["seed"])]
-        train, test = load_dataset(opts["dataset"], opts["data_dir"])
+        train, test = load_dataset(opts["dataset"], opts["data_dir"], opts["limit_train"],
+                                   opts["limit_test"])
     except (ConfigError, IngestionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if opts["limit_train"]:
-        train = train.subset(np.arange(min(opts["limit_train"], len(train))))
-    if opts["limit_test"]:
-        test = test.subset(np.arange(min(opts["limit_test"], len(test))))
 
     for cfg in cfgs:
         try:

@@ -7,6 +7,7 @@ the bits of one gathered from a dataset converted whole at load time.
 
 import contextlib
 import gzip
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -51,7 +52,8 @@ def _open_maybe_gzip(path):
     try:
         with gzip.open(path) if gzipped else open(path, "rb") as f:
             yield f
-            f.read()  # to the end, where gzip checks the stream's CRC and length
+            while gzipped and f.read(1 << 20):  # to the end, where gzip checks CRC and length
+                pass
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:  # a truncated or corrupt stream
         raise IngestionError(f"{path}: {exc}") from None
 
@@ -70,49 +72,47 @@ def _pixels(raw):
     return np.divide(raw, np.float32(255), dtype=np.float32)
 
 
-def load_idx(images_path, labels_path):
-    """Read an MNIST-style IDX image/label file pair into a Dataset."""
-    with _open_maybe_gzip(images_path) as f:
-        header = f.read(16)
-        if len(header) < 16:
-            raise IngestionError(f"truncated IDX header in {images_path}")
-        magic, n, h, w = struct.unpack(">IIII", header)
-        if magic != IDX_IMAGES_MAGIC:
-            raise IngestionError(f"bad magic {magic:#x} in {images_path}")
-        raw = f.read(n * h * w)
-        if len(raw) != n * h * w:
-            raise IngestionError(f"truncated pixel data in {images_path}")
-    with _open_maybe_gzip(labels_path) as f:
-        header = f.read(8)
-        if len(header) < 8:
-            raise IngestionError(f"truncated IDX header in {labels_path}")
-        magic, n_labels = struct.unpack(">II", header)
-        if magic != IDX_LABELS_MAGIC:
-            raise IngestionError(f"bad magic {magic:#x} in {labels_path}")
-        label_raw = f.read(n_labels)
-        if len(label_raw) != n_labels:
-            raise IngestionError(f"truncated label data in {labels_path}")
+def _read_idx(path, magic, limit):
+    """(the header's record count, its first `limit` records, all if 0) of an IDX
+    file of bytes; a raw file's bytes past those records are not read."""
+    with _open_maybe_gzip(path) as f:
+        header = f.read(4 * (1 + magic % 256))  # the magic's low byte counts the dimensions
+        if len(header) < 4 * (1 + magic % 256):
+            raise IngestionError(f"truncated IDX header in {path}")
+        found, n, *shape = struct.unpack(f">{len(header) // 4}I", header)
+        if found != magic:
+            raise IngestionError(f"bad magic {found:#x} in {path}")
+        rows = min(n, limit or n)
+        raw = f.read(rows * math.prod(shape))
+        if len(raw) != rows * math.prod(shape):
+            raise IngestionError(f"truncated data in {path}")
+    return n, np.frombuffer(raw, dtype=np.uint8).reshape(rows, *shape)
+
+
+def load_idx(images_path, labels_path, limit=0):
+    """Read the first `limit` records (all if 0) of an MNIST-style IDX image/label
+    file pair into a Dataset."""
+    n, images = _read_idx(images_path, IDX_IMAGES_MAGIC, limit)
+    n_labels, labels = _read_idx(labels_path, IDX_LABELS_MAGIC, limit)
     if n != n_labels:
-        raise IngestionError(
-            f"count mismatch: {n} images in {images_path} vs "
-            f"{n_labels} labels in {labels_path}"
-        )
-    images = np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, h, w)
-    labels = _class_labels(np.frombuffer(label_raw, dtype=np.uint8), labels_path)
-    return Dataset(images, labels)
+        raise IngestionError(f"count mismatch: {n} images in {images_path} vs "
+                             f"{n_labels} labels in {labels_path}")
+    return Dataset(images[:, None], _class_labels(labels, labels_path))
 
 
-def load_cifar10(batch_paths):
-    """Read CIFAR-10 binary batch files (label byte + 3072 pixel bytes per
-    record) into one buffer, which `images` views: the pixels are held once."""
+def load_cifar10(batch_paths, limit=0):
+    """Read the first `limit` records (all if 0) of CIFAR-10 binary batch files
+    (label byte + 3072 pixel bytes per record) into one buffer, which `images`
+    views: the pixels are held once. Files after the limit's are not opened."""
     buf, labels = bytearray(), []
     for path in batch_paths:
+        if limit and len(buf) == limit * CIFAR_RECORD_BYTES:
+            break
         with _open_maybe_gzip(path) as f:
-            raw = f.read()
+            raw = f.read(limit * CIFAR_RECORD_BYTES - len(buf) if limit else -1)
         if len(raw) == 0 or len(raw) % CIFAR_RECORD_BYTES != 0:
-            raise IngestionError(
-                f"{path}: length {len(raw)} is not a multiple of {CIFAR_RECORD_BYTES}"
-            )
+            raise IngestionError(f"{path}: length {len(raw)} is not a multiple of "
+                                 f"{CIFAR_RECORD_BYTES}")
         labels.append(_class_labels(
             np.frombuffer(raw, dtype=np.uint8)[::CIFAR_RECORD_BYTES], path))
         buf += raw

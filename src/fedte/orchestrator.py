@@ -136,11 +136,11 @@ def aggregate(models, counts):
 
 def local_train(net, global_params, ds, rows, penalty, epochs, batch_size, lr,
                 seed, round_idx=None, client_id=None):
-    """E epochs of mini-batch SGD on the rows `rows` of `ds`, from a copy of the
-    global model. Returns (trained parameters, number of rows)."""
+    """E epochs of mini-batch SGD on the rows `rows` of `ds`, from the global model,
+    which it leaves unchanged. Returns (trained parameters, number of rows)."""
     if lr <= 0:
         raise ConfigError(f"learning rate must be > 0, got {lr}")
-    params = global_params.copy()
+    params = global_params  # sgd_step returns a new array
     step = 0
     for epoch in range(epochs):
         for batch in iterate_batches(ds, rows, batch_size, seed=(*seed, epoch)):

@@ -180,10 +180,12 @@ def ensemble_target(history, beta):
 
 
 def save_idx(ds, images_path, labels_path):
-    """Write a single-channel Dataset as IDX files (pixels quantized to uint8)."""
+    """Write a single-channel Dataset as IDX files: uint8 pixels as they are,
+    float pixels in [0, 1] quantized to uint8."""
     n, c, h, w = ds.images.shape
     assert c == 1, "IDX stores single-channel images"
-    pixels = np.rint(ds.images * 255.0).astype(np.uint8)
+    pixels = (ds.images if ds.images.dtype == np.uint8
+              else np.rint(ds.images * 255.0).astype(np.uint8))
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, h, w))
         f.write(pixels.tobytes())

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import fedte
@@ -432,6 +433,14 @@ def test_run_bad_data_files_fail_before_any_output(tmp_path, capsys, case, named
     assert not list(tmp_path.glob("out/*_seed*"))
 
 
+def write_cifar_dir(data, n=20):
+    """Five CIFAR-10 training batches and a test batch of `n` random records each."""
+    data.mkdir()
+    for seed, name in enumerate([f"data_batch_{i}" for i in range(1, 6)] + ["test_batch"]):
+        (data / f"{name}.bin").write_bytes(cifar_bytes(n, seed))
+    return data
+
+
 @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
 @pytest.mark.parametrize("dataset", ["mnist", "cifar10"])
 def test_run_damaged_gzip_file_fails_before_any_output(tmp_path, capsys, dataset, damage):
@@ -440,9 +449,7 @@ def test_run_damaged_gzip_file_fails_before_any_output(tmp_path, capsys, dataset
         write_idx_dataset(str(data))
         damaged = gzip_damaged(str(data / "train-images-idx3-ubyte"), damage)
     else:
-        data.mkdir()
-        for seed, name in enumerate([f"data_batch_{i}" for i in range(1, 6)] + ["test_batch"]):
-            (data / f"{name}.bin").write_bytes(cifar_bytes(20, seed))
+        write_cifar_dir(data)
         damaged = gzip_damaged(str(data / "data_batch_3.bin"), damage)
     out = tmp_path / "out"
     assert main(["run", "--dataset", dataset, "--data-dir", str(data), "--out-dir", str(out),
@@ -594,3 +601,49 @@ def test_run_into_an_existing_file_is_an_error(data_dir, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]
     assert out.read_text() == ""
+
+
+def test_limited_run_equals_a_run_on_files_of_the_first_records(data_dir, tmp_path):
+    # --limit-train and --limit-test read the first records of the files, so a
+    # limited run is a run on files that hold only those records
+    train, test = load_dataset("mnist", data_dir)
+    cut = tmp_path / "cut"
+    cut.mkdir()
+    for prefix, ds, n in (("train", train, 250), ("t10k", test, 60)):
+        save_idx(ds.subset(np.arange(n)), str(cut / f"{prefix}-images-idx3-ubyte"),
+                 str(cut / f"{prefix}-labels-idx1-ubyte"))
+    flags = ("--variant", "fedcl-te", "--alpha", "0.1", "--seed", "1")
+    assert run_cli(data_dir, tmp_path / "limited", *flags, "--limit-train", "250",
+                   "--limit-test", "60") == 0
+    assert run_cli(cut, tmp_path / "whole", *flags) == 0
+    limited, whole = (tmp_path / d / "fedcl-te_seed1" / "metrics.csv" for d in ("limited", "whole"))
+    assert limited.read_bytes() == whole.read_bytes()
+
+
+def test_cifar_limit_within_the_first_file_opens_no_other_batch_file(tmp_path, monkeypatch):
+    data = write_cifar_dir(tmp_path / "data")
+    full_train, full_test = load_dataset("cifar10", str(data))
+    opened = []
+
+    def recorded_open(path, *args):
+        opened.append(os.path.basename(path))
+        return open(path, *args)
+
+    monkeypatch.setattr("fedte.data.open", recorded_open, raising=False)
+    train, test = load_dataset("cifar10", str(data), 15, 5)
+    assert sorted(set(opened)) == ["data_batch_1.bin", "test_batch.bin"]
+    assert train.images.tobytes() == full_train.images[:15].tobytes()
+    assert test.images.tobytes() == full_test.images[:5].tobytes()
+    assert list(train.labels) == list(full_train.labels[:15])
+
+
+def test_limited_cifar_run_still_needs_every_batch_file(tmp_path, capsys):
+    data = write_cifar_dir(tmp_path / "data")
+    (data / "data_batch_5.bin").unlink()
+    out = tmp_path / "out"
+    assert main(["run", "--dataset", "cifar10", "--data-dir", str(data), "--out-dir", str(out),
+                 *BASE_FLAGS, "--variant", "fedavg", "--seed", "1", "--limit-train", "15"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: missing dataset file: {data / 'data_batch_5.bin'}\n"
+    assert not out.exists()

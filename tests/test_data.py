@@ -1,9 +1,11 @@
 import gc
 import gzip
+import io
 import re
 import struct
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,8 +99,9 @@ def test_idx_count_mismatch(tmp_path):
     ip, _ = write_idx_pair(tmp_path, images, np.zeros(2, dtype=np.uint8))
     lp = tmp_path / "mismatch-labels"
     lp.write_bytes(struct.pack(">II", 2049, 3) + labels.tobytes())
-    with pytest.raises(IngestionError, match="mismatch"):
-        load_idx(ip, str(lp))
+    for limit in (0, 1, 2):  # the header counts, whatever is read
+        with pytest.raises(IngestionError, match="mismatch: 2 images"):
+            load_idx(ip, str(lp), limit)
 
 
 def test_idx_truncated(tmp_path):
@@ -370,3 +373,93 @@ def test_batches_over_rows_equal_batches_over_a_copy_of_those_rows():
         for a, b in zip(got, expected):
             assert np.array_equal(a.inputs.view(np.uint32), b.inputs.view(np.uint32))
             assert np.array_equal(a.labels, b.labels)
+
+
+def idx_files(tmp_path, n=12, gzipped=False, name="limit"):
+    """An IDX pair of `n` random 5x4 images and their labels; gzipped on request."""
+    rng = np.random.default_rng(n)
+    paths = write_idx_pair(tmp_path, rng.integers(0, 256, (n, 5, 4), dtype=np.uint8),
+                           rng.integers(0, 10, n, dtype=np.uint8), name=name)
+    if not gzipped:
+        return paths
+    for path in paths:
+        with open(path, "rb") as src, gzip.open(path + ".gz", "wb") as dst:
+            dst.write(src.read())
+    return tuple(path + ".gz" for path in paths)
+
+
+def assert_first_rows(got, full, limit):
+    """`got` is bitwise `full`, or its first `limit` rows as `fedte run` once cut them."""
+    expected = full.subset(np.arange(min(limit, len(full)))) if limit else full
+    assert got.images.shape == expected.images.shape
+    assert got.images.tobytes() == expected.images.tobytes()
+    assert got.labels.dtype == expected.labels.dtype
+    assert got.labels.tobytes() == expected.labels.tobytes()
+
+
+@pytest.mark.parametrize("gzipped", [False, True], ids=["raw", "gzip"])
+@pytest.mark.parametrize("limit", [0, 1, 11, 12, 17])
+def test_limited_idx_load_is_the_first_rows_of_the_full_load(tmp_path, gzipped, limit):
+    paths = idx_files(tmp_path, n=12, gzipped=gzipped)
+    assert_first_rows(load_idx(*paths, limit), load_idx(*paths), limit)
+
+
+@pytest.mark.parametrize("limit", [0, 1, 3, 4, 5, 9, 10, 15])
+def test_limited_cifar_load_is_the_first_rows_of_the_full_load(tmp_path, limit):
+    paths = []
+    for i, n in enumerate((4, 1, 5)):
+        path = tmp_path / f"b{i}.bin"
+        path.write_bytes(cifar_bytes(n, seed=i))
+        paths.append(str(path))
+    assert_first_rows(load_cifar10(paths, limit), load_cifar10(paths), limit)
+
+
+class CountingFile(io.FileIO):
+    """An unbuffered file that adds the bytes each read returns to `read_bytes`."""
+
+    read_bytes = {}
+
+    def read(self, size=-1):
+        data = super().read(size)
+        CountingFile.read_bytes[self.name] = CountingFile.read_bytes.get(self.name, 0) + len(data)
+        return data
+
+
+def test_limited_raw_idx_load_reads_the_header_and_its_records_only(tmp_path, monkeypatch):
+    ip, lp = idx_files(tmp_path, n=12)
+    monkeypatch.setattr(CountingFile, "read_bytes", {})
+    monkeypatch.setattr("fedte.data.open", CountingFile, raising=False)
+    load_idx(ip, lp, 3)
+    # 2 bytes of each file to tell gzip from raw, then the header and 3 records
+    assert CountingFile.read_bytes == {ip: 2 + 16 + 3 * 5 * 4, lp: 2 + 8 + 3}
+
+
+def test_bytes_past_the_limit_of_a_raw_idx_file_are_not_checked(tmp_path):
+    ip, lp = idx_files(tmp_path, n=12)
+    labels = bytearray(Path(lp).read_bytes())
+    labels[8 + 5] = 12  # row 5's label is not a class
+    Path(lp).write_bytes(labels)
+    assert len(load_idx(ip, lp, 5)) == 5
+    with pytest.raises(IngestionError, match="label 12"):
+        load_idx(ip, lp)
+    with open(ip, "r+b") as f:
+        f.truncate(16 + 7 * 5 * 4)  # 7 of 12 images
+    assert len(load_idx(ip, lp, 5)) == 5
+    with pytest.raises(IngestionError, match="truncated"):
+        load_idx(ip, lp, 8)
+
+
+@pytest.mark.parametrize("damage", ["truncated-trailer", "bad-crc"])
+def test_a_damaged_gzip_stream_fails_under_any_limit(tmp_path, damage):
+    # the stream is read to its end, so a limit does not skip its CRC and length
+    ip, lp = idx_files(tmp_path, n=12, gzipped=True)
+    packed = bytearray(Path(ip).read_bytes())
+    if damage == "truncated-trailer":
+        del packed[-8:]  # the CRC and the length
+    else:
+        packed[-8] ^= 0xFF
+    Path(ip).write_bytes(packed)
+    for limit in (0, 1, 12):
+        with pytest.raises(IngestionError, match=f"^{re.escape(ip)}: "):
+            load_idx(ip, lp, limit)
+

@@ -36,6 +36,7 @@ from fedte.orchestrator import (
     local_train,
     prepare,
     run_experiment,
+    run_round,
     select_clients,
 )
 from fedte.penalties import FisherDiag, Prox, fisher_diag
@@ -543,6 +544,26 @@ def test_run_continued_from_a_copy_of_its_state_is_the_uninterrupted_run(monkeyp
         assert getattr(continued, name).tobytes() == getattr(whole, name).tobytes()
     assert continued.tracker.round == whole.tracker.round == 6
     assert continued.tracker._ensemble.tobytes() == whole.tracker._ensemble.tobytes()
+
+
+@pytest.mark.parametrize("pool", [True, False], ids=["pool", "no-pool"])
+@pytest.mark.parametrize("kind", ["fedprox", "fedprox-te", "fedcl-te"])
+def test_run_round_leaves_the_previous_model_and_target_unchanged(kind, pool):
+    # local_train trains from the global model itself, not a copy, and the CLI
+    # stores each round's model uncopied: both need a round that only rebinds them
+    train, test = synth_dataset(600, 26), synth_dataset(100, 27)
+    net = Network(tiny_spec())
+    cfg = three_client_cfg(kind, **POOLED_PHASES.get(kind, {}))
+    split, state = prepare(cfg, train, net)
+    with ThreadPoolExecutor(1) as executor:
+        round_map = functools.partial(_map_in_order, executor if pool else None)
+        for _ in range(3):
+            previous = (state.global_params, state.target)
+            saved = [p.tobytes() for p in previous]
+            run_round(cfg, split, state, test, net, map=round_map)
+            assert [p.tobytes() for p in previous] == saved
+            assert state.global_params is not previous[0]
+    assert len(state.records) == 3
 
 
 @pytest.fixture
