@@ -5,13 +5,15 @@ Usage: python scripts/bitcheck.py REV [--paper]
 
 Checks REV out into a temporary `git worktree` (removed afterwards), writes
 synthetic data files with perfbench/synth.py, and runs `fedte run` from both
-trees over a matrix of cases. The default matrix (about 120 s on a 2-vCPU VM):
+trees over a matrix of cases. The default matrix (about 110 s on a 2-vCPU VM):
 every variant at gamma 1 and 100 on 2000/700 MNIST-shape files, seeds 1 and 2,
-4 rounds, with --save-trajectory and a 100-example Fisher on a 5% proxy; the
+4 rounds, with --save-trajectory and a 96-example Fisher on a 10% proxy; the
 -TE variants on the same files limited to their first 1500/500 records; and
 the -TE variants at gamma 1 on 1000/300 CIFAR-10-shape batch files, seeds 1
-and 2, 3 rounds. `--paper` runs instead fedprox-te and fedcl-te for 2 rounds
-with the default options on 60k/10k MNIST-shape files (about 105 s). Each tree
+and 2, 3 rounds. Every proxy (200, 150 and 100 examples) is larger than the
+Fisher sample, so each FedCL round draws its subsample and pools two chunks.
+`--paper` runs instead fedprox-te and fedcl-te for 2 rounds with the default
+options on 60k/10k MNIST-shape files (about 105 s). Each tree
 runs its matrix twice: pinned to one CPU by `taskset`, so that no phase runs
 on a pool, and on every CPU the process may use. It prints the sha256 of
 every metrics.csv and trajectory.csv of the four runs, and exits 1 if a file
@@ -36,9 +38,10 @@ import synth  # noqa: E402  (perfbench/synth.py, the benchmark's data writer)
 VARIANTS = ("fedavg", "fedprox", "fedcl", "fedprox-te", "fedcl-te")
 TE_VARIANTS = ("fedprox-te", "fedcl-te")
 PINS = ("1cpu", "all")
-# 4 rounds store 4 models, enough for a trajectory
+# 4 rounds store 4 models, enough for a trajectory; a proxy larger than the
+# Fisher sample, which is drawn from it and runs as a 64- and a 32-example chunk
 FLAGS = ("--seed", "1,2", "--rounds", "4", "--save-trajectory",
-         "--proxy-fraction", "0.05", "--fisher-samples", "100")
+         "--proxy-fraction", "0.1", "--fisher-samples", "96")
 OUTPUTS = ("metrics.csv", "trajectory.csv")
 
 # one `fedte run` per variant and gamma, writing <case name>/gamma<g>/ of a run
@@ -48,8 +51,8 @@ CASES = (
     Case("mnist-limited", "mnist", TE_VARIANTS, (1,),
          FLAGS + ("--limit-train", "1500", "--limit-test", "500")),
     Case("cifar10", "cifar10", TE_VARIANTS, (1,),
-         ("--seed", "1,2", "--rounds", "3", "--save-trajectory", "--proxy-fraction", "0.05",
-          "--fisher-samples", "100")),
+         ("--seed", "1,2", "--rounds", "3", "--save-trajectory", "--proxy-fraction", "0.1",
+          "--fisher-samples", "96")),
 )
 # the paper's shape and options (K=10, C=0.2, E=2, B=50, a 1% proxy, a
 # 1024-example Fisher); 2 rounds store too few models for a trajectory
@@ -142,7 +145,7 @@ def main(argv=None):
     parser.add_argument("--paper", action="store_true",
                         help="2 rounds of fedprox-te and fedcl-te at the paper's shape "
                              "and options instead of the default matrix (about 105 s on "
-                             "a 2-vCPU VM, against about 120 s)")
+                             "a 2-vCPU VM, against about 110 s)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="bitcheck-") as work:
         data = {"mnist": os.path.join(work, "mnist"), "cifar10": os.path.join(work, "cifar10")}

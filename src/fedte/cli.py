@@ -23,7 +23,7 @@ from .analysis import check_threshold, converged_accuracy, rounds_to_accuracy
 from .data import load_cifar10, load_idx
 from .errors import ConfigError, DivergenceError, IngestionError
 from .nn import Network, baseline_cnn
-from .orchestrator import VARIANT_KINDS, FedConfig, prepare, run_experiment
+from .orchestrator import VARIANT_KINDS, VARIANT_OPTIONS, FedConfig, prepare, run_experiment
 
 DEFAULTS = {
     "dataset": "mnist",
@@ -39,15 +39,14 @@ DEFAULTS = {
     "window": 20,
 }
 
-# config keys that must agree for summaries to be comparable
-FAMILY_KEYS = (
-    "dataset", "gamma", "clients", "ratio", "epochs", "batch", "rounds",
-    "lr", "lr_decay", "proxy_fraction", "limit_train", "limit_test", "window",
-)
-# config keys that must also agree among the summaries of one variant that
-# reads them, whose median would otherwise pool different penalty weights,
-# momenta or Fisher sizes
-VARIANT_KEYS = ("alpha", "beta", "fisher_samples")
+# the options some variant reads beyond FedAvg's: summaries of one variant must
+# agree in those it reads (all for a variant not in VARIANT_OPTIONS), or their
+# median would pool different penalty weights, momenta or Fisher sizes
+VARIANT_KEYS = tuple(sorted({key for keys in VARIANT_OPTIONS.values() for key in keys}))
+# config keys that must agree for summaries to be comparable: the dataset, its
+# limits, the window and every training option but the variant, seed and those
+FAMILY_KEYS = ("dataset", "limit_train", "limit_test", "window") + tuple(
+    f.name for f in fields(FedConfig) if f.name not in ("variant", "seed", *VARIANT_KEYS))
 SUMMARY_KEYS = ("variant", "seed", "accuracy", "converged_accuracy")
 
 
@@ -238,6 +237,7 @@ def run_single(opts, cfg, thresholds, train, test):
     del split, state
 
     accuracy = [r.test_accuracy for r in records]
+    config = {k: opts[k] for k in DEFAULTS} | {"seed": cfg.seed}  # this run's seed
     summary = {
         "variant": cfg.variant,
         "alpha": cfg.alpha,
@@ -252,7 +252,7 @@ def run_single(opts, cfg, thresholds, train, test):
         ),
         "accuracy": accuracy,
         "loss": [r.test_loss for r in records],
-        "config": {k: opts[k] for k in DEFAULTS},
+        "config": config,
     }
     _write_json(os.path.join(run_dir, "summary.json"), summary)
 
@@ -278,7 +278,7 @@ def run_single(opts, cfg, thresholds, train, test):
         "artifact_version": __version__,
         "started": started,
         "finished": datetime.now(timezone.utc).isoformat(),
-        "config": dict(summary["config"], seed=cfg.seed),
+        "config": config,
         "outputs": outputs,
     }
     _write_json(os.path.join(run_dir, "manifest.json"), manifest)
@@ -358,16 +358,6 @@ def _disagreement(pairs, keys):
     return None
 
 
-def _variant_keys(variant):
-    """The keys of VARIANT_KEYS that runs of `variant` read; all if it is unknown."""
-    if variant not in VARIANT_KINDS:
-        return VARIANT_KEYS
-    cfg = FedConfig(variant=variant)
-    reads = {"alpha": variant != "fedavg", "beta": cfg.uses_ensemble,
-             "fisher_samples": cfg.uses_fisher}
-    return tuple(k for k in VARIANT_KEYS if reads[k])
-
-
 def cmd_compare(args):
     try:
         thresholds = _parse_thresholds(args.thresholds)
@@ -387,7 +377,7 @@ def cmd_compare(args):
             print(f"error: {path} repeats the variant and seed of {twins[0]}", file=sys.stderr)
             return 2
         group.append((path, summary))
-    checks = [(pairs, FAMILY_KEYS)] + [(group, _variant_keys(variant))
+    checks = [(pairs, FAMILY_KEYS)] + [(group, VARIANT_OPTIONS.get(variant, VARIANT_KEYS))
                                        for variant, group in groups.items()]
     for group, keys in checks:
         problem = _disagreement(group, keys)

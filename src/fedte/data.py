@@ -172,12 +172,16 @@ def dirichlet_partition(labels, clients, gamma, seed):
 
 def split_proxy(labels, fraction, seed):
     """Stratified split of the positions of `labels` into sorted index arrays
-    (train, proxy), with >= 1 proxy example per class."""
+    (train, proxy), with >= 1 proxy and >= 1 training example per class."""
     if not (0 < fraction < 1):
         raise ConfigError(f"proxy fraction must be in (0, 1), got {fraction}")
     n = len(labels)
     counts = np.bincount(labels)
     present = np.flatnonzero(counts)
+    single = present[counts[present] == 1]
+    if single.size:
+        raise ConfigError(f"class {single[0]} has one example; a class needs two, one for "
+                          "the proxy and one for training")
     total = int(round(fraction * n))
     if total < present.size:
         raise ConfigError(

@@ -26,7 +26,12 @@ from .errors import ConfigError, DivergenceError
 from .nn import log_softmax, lr_at_round, sgd_step
 from .target import TargetTracker
 
-VARIANT_KINDS = ("fedavg", "fedprox", "fedcl", "fedprox-te", "fedcl-te")
+# the options each variant reads beyond FedAvg's: a penalty weight, the momentum of
+# the -TE target and the size of FedCL's Fisher sample
+VARIANT_OPTIONS = {"fedavg": (), "fedprox": ("alpha",), "fedcl": ("alpha", "fisher_samples"),
+                   "fedprox-te": ("alpha", "beta"),
+                   "fedcl-te": ("alpha", "beta", "fisher_samples")}
+VARIANT_KINDS = tuple(VARIANT_OPTIONS)
 
 # purpose codes for derived RNG streams
 _SEED_SELECT = 10
@@ -36,14 +41,16 @@ _SEED_INIT = 13
 _SEED_BATCH = 14
 _SEED_FISHER = 15
 
+EVAL_BATCH = 256  # test images per evaluation job; fixes dense2's rows, so metrics.csv's bits
+
 
 @dataclass(frozen=True)
 class FedConfig:
     """One run's training options, each named and defaulted as its `fedte run` flag."""
 
     variant: str = "fedavg"
-    alpha: float = 1.0  # penalty weight; unused by fedavg
-    beta: float = 0.2  # EMA momentum of the -TE target; unused by the base variants
+    alpha: float = 1.0  # penalty weight
+    beta: float = 0.2  # EMA momentum of the -TE target
     gamma: float = 1.0  # Dirichlet concentration of the client partition
     clients: int = 10
     ratio: float = 0.2  # fraction of clients selected per round
@@ -63,6 +70,10 @@ class FedConfig:
             raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not 0 <= self.beta < 1:
             raise ConfigError(f"beta must be in [0, 1), got {self.beta}")
+        if not 0 < self.gamma < np.inf:
+            raise ConfigError(f"concentration gamma must be in (0, inf), got {self.gamma}")
+        if not 0 < self.proxy_fraction < 1:
+            raise ConfigError(f"proxy fraction must be in (0, 1), got {self.proxy_fraction}")
         if not 0 < self.ratio <= 1:
             raise ConfigError(f"selection ratio must be in (0, 1], got {self.ratio}")
         for key in ("clients", "epochs", "batch", "rounds", "fisher_samples"):
@@ -74,11 +85,11 @@ class FedConfig:
 
     @property
     def uses_fisher(self):
-        return self.variant in ("fedcl", "fedcl-te")
+        return "fisher_samples" in VARIANT_OPTIONS[self.variant]
 
     @property
     def uses_ensemble(self):
-        return self.variant.endswith("-te")
+        return "beta" in VARIANT_OPTIONS[self.variant]
 
 
 @dataclass
@@ -152,7 +163,7 @@ def local_train(net, global_params, ds, rows, penalty, epochs, batch_size, lr,
     return params, int(rows.size)
 
 
-def evaluate(net, params, ds, batch_size=256, map=map):
+def evaluate(net, params, ds, map=map):
     """(accuracy, mean cross-entropy) over a dataset.
 
     `map(fn, batch starts)` runs the batches; any map that returns their
@@ -163,8 +174,8 @@ def evaluate(net, params, ds, batch_size=256, map=map):
         raise ConfigError("evaluation needs a non-empty dataset")
 
     def batch_stats(start):
-        x = ds.pixels(slice(start, start + batch_size))
-        y = ds.labels[start:start + batch_size]
+        x = ds.pixels(slice(start, start + EVAL_BATCH))
+        y = ds.labels[start:start + EVAL_BATCH]
         logits = net.forward(params, x)
         logp = log_softmax(logits)
         loss = float(-logp[np.arange(len(y)), y].sum())
@@ -172,7 +183,7 @@ def evaluate(net, params, ds, batch_size=256, map=map):
 
     correct = 0
     loss_sum = 0.0
-    for batch_loss, batch_correct in map(batch_stats, range(0, n, batch_size)):
+    for batch_loss, batch_correct in map(batch_stats, range(0, n, EVAL_BATCH)):
         loss_sum += batch_loss
         correct += batch_correct
     return correct / n, loss_sum / n

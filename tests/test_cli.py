@@ -12,7 +12,7 @@ import pytest
 import fedte
 from fedte.cli import DEFAULTS, build_parser, load_dataset, main, merge_options, parse_config_file
 from fedte.data import load_idx
-from fedte.orchestrator import VARIANT_KINDS, FedConfig, _openblas
+from fedte.orchestrator import VARIANT_KINDS, VARIANT_OPTIONS, FedConfig, _openblas
 
 from conftest import cifar_bytes, gzip_damaged, save_idx, synth_dataset, write_idx_dataset
 
@@ -36,17 +36,20 @@ def data_dir(tmp_path_factory):
 def test_run_writes_outputs(data_dir, tmp_path):
     out = tmp_path / "out"
     assert run_cli(data_dir, out, "--variant", "fedprox-te",
-                   "--alpha", "1", "--beta", "0.2", "--seed", "1") == 0
-    run_dir = out / "fedprox-te_seed1"
-    metrics = (run_dir / "metrics.csv").read_text().splitlines()
-    assert metrics[0] == "round,selected_clients,test_accuracy,test_loss,lr"
-    assert len(metrics) == 3  # header + 2 rounds
-    summary = json.loads((run_dir / "summary.json").read_text())
-    assert summary["variant"] == "fedprox-te"
-    assert len(summary["accuracy"]) == 2
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    assert manifest["config"]["rounds"] == 2
-    assert manifest["config"]["seed"] == 1
+                   "--alpha", "1", "--beta", "0.2", "--seed", "1,2") == 0
+    for seed in (1, 2):
+        run_dir = out / f"fedprox-te_seed{seed}"
+        metrics = (run_dir / "metrics.csv").read_text().splitlines()
+        assert metrics[0] == "round,selected_clients,test_accuracy,test_loss,lr"
+        assert len(metrics) == 3  # header + 2 rounds
+        summary = json.loads((run_dir / "summary.json").read_text())
+        assert summary["variant"] == "fedprox-te"
+        assert len(summary["accuracy"]) == 2
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["config"]["rounds"] == 2
+        assert manifest["config"]["seed"] == seed
+        # one echo of the run's config, with its own seed, not the seed list
+        assert summary["config"] == manifest["config"]
 
 
 def test_run_deterministic_metrics(data_dir, tmp_path):
@@ -231,6 +234,24 @@ def test_compare_allows_one_variant_to_differ_in_keys_it_does_not_read(
     assert main(["compare", a, b]) == 0
 
 
+@pytest.mark.parametrize("variant", [*VARIANT_KINDS, "fedsgd"])
+@pytest.mark.parametrize("key", [f.name for f in fields(FedConfig)
+                                 if f.name not in ("variant", "seed")])
+def test_compare_checks_every_training_option(tmp_path, capsys, variant, key):
+    # a FedConfig field is checked by compare with no change to cli: among all
+    # summaries, or, for an option some variant reads beyond FedAvg's, among the
+    # summaries of each variant that reads it (every such option for an unknown
+    # variant, such as one a later fedte adds)
+    a = _write_summary(tmp_path / "a.json", variant, [0.9], seed=1)
+    b = _write_summary(tmp_path / "b.json", variant, [0.9], seed=2,
+                       **{key: DEFAULTS[key] + 1})
+    variant_option = any(key in keys for keys in VARIANT_OPTIONS.values())
+    unread = variant_option and key not in VARIANT_OPTIONS.get(variant, (key,))
+    assert main(["compare", a, b]) == (0 if unread else 2)
+    err = capsys.readouterr().err
+    assert (err == "") if unread else ("not config-compatible" in err and key in err)
+
+
 def test_compare_allows_different_settings_across_variants(tmp_path):
     a = _write_summary(tmp_path / "a.json", "fedprox", [0.9], alpha=0.01)
     b = _write_summary(tmp_path / "b.json", "fedprox-te", [0.9], alpha=1.0,
@@ -253,7 +274,8 @@ def test_run_empty_seed_list_is_an_error(data_dir, tmp_path, capsys):
     ("rounds = abc\n", ["--config", "run.cfg"], "'abc'"),
     (None, ["--window", "0"], "window"),
     (None, ["--save-trajectory", "--traj-stride", "0"], "traj_stride"),
-    # rejected by the data split, which runs before the run directory is made
+    # rejected by FedConfig (gamma, the proxy fraction) or by the data split,
+    # which runs before the run directory is made
     (None, ["--gamma", "0"], "concentration"),
     (None, ["--clients", "5000"], "more clients"),
     (None, ["--proxy-fraction", "0"], "proxy fraction"),
@@ -363,6 +385,27 @@ def test_run_negative_limit_fails_before_loading_data(data_dir, tmp_path, monkey
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--gamma", "0"], "concentration"),
+    (["--proxy-fraction", "1.5"], "proxy fraction"),
+], ids=["gamma-0", "proxy-fraction-1.5"])
+def test_run_bad_data_option_fails_before_loading_data(data_dir, tmp_path, monkeypatch,
+                                                       capsys, flags, named):
+    # FedConfig checks the options that split and partition the data, so no
+    # data file is read for a config that `prepare` would reject
+    def no_load(*args):
+        raise AssertionError("dataset loaded")
+
+    monkeypatch.setattr("fedte.cli.load_dataset", no_load)
+    out = tmp_path / "out"
+    assert run_cli(data_dir, out, "--variant", "fedavg", "--seed", "1", *flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and named in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [["--lr", "-1"], ["--lr", "0"], ["--lr-decay", "0"],
                                    ["--lr-decay", "1.5"],
                                    ["--lr-decay", "1e-200", "--rounds", "4"]],
@@ -404,7 +447,8 @@ def test_config_boolean_words(tmp_path, raw, value):
     ("empty-test", "test set"),
     ("test-shape", "shape (1, 20, 20)"),
     ("label-12", "label 12"),
-], ids=["empty-train", "empty-test", "test-shape", "label-12"])
+    ("one-example-class", "class 9 has one example"),
+], ids=["empty-train", "empty-test", "test-shape", "label-12", "one-example-class"])
 def test_run_bad_data_files_fail_before_any_output(tmp_path, capsys, case, named):
     data = tmp_path / "data"
     write_idx_dataset(str(data))  # 400 train and 100 test images, 16x16
@@ -418,9 +462,14 @@ def test_run_bad_data_files_fail_before_any_output(tmp_path, capsys, case, named
         save_idx(synth_dataset(0, 0, shape=(1, 16, 16)), *test_files)
     elif case == "test-shape":
         save_idx(synth_dataset(100, 0, shape=(1, 20, 20)), *test_files)
-    else:
+    elif case == "label-12":
         train = load_idx(*train_files)
         train.labels[0] = 12
+        save_idx(train, *train_files)
+    else:  # no proxy can hold class 9 and leave training one of it
+        train = load_idx(*train_files)
+        nines = np.flatnonzero(train.labels == 9)
+        train.labels[nines[1:]] = 8
         save_idx(train, *train_files)
     out = tmp_path / "out"
     # one client trains on every example, so a bad label is always reached

@@ -328,6 +328,16 @@ def test_split_proxy_fraction_too_small():
         split_proxy(ds.labels, 0.01, seed=0)  # 1 example cannot cover 10 classes
 
 
+def test_split_proxy_rejects_a_class_of_one_example():
+    # clipped to one example, class 2 would go to training only and the proxy
+    # would hold classes 0 and 1: a class needs one proxy and one training example
+    labels = np.array([0] * 10 + [1] * 10 + [2])
+    with pytest.raises(ConfigError, match="class 2 has one example"):
+        split_proxy(labels, 0.3, seed=0)
+    _, proxy_rows = split_proxy(np.append(labels, 2), 0.3, seed=0)
+    assert np.bincount(np.append(labels, 2)[proxy_rows]).tolist() == [3, 3, 1]
+
+
 def test_split_proxy_stratified_count():
     ds = synth_dataset(6000, 8)
     _, proxy_rows = split_proxy(ds.labels, 0.01, seed=0)

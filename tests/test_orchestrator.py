@@ -23,6 +23,7 @@ from fedte.data import (
 from fedte.errors import ConfigError, DivergenceError
 from fedte.nn import Conv, Dense, ModelSpec, Network, Pool, baseline_cnn, lr_at_round
 from fedte.orchestrator import (
+    EVAL_BATCH,
     _SEED_BATCH,
     _SEED_FISHER,
     _SEED_PROXY,
@@ -89,6 +90,10 @@ def test_variant_validation():
     ("seed", -1, "seed"),
     ("lr", 0.0, "lr schedule"), ("lr", float("nan"), "lr schedule"),
     ("lr", float("inf"), "lr schedule"), ("lr_decay", 1.5, "lr schedule"),
+    ("gamma", 0.0, "concentration"), ("gamma", float("nan"), "concentration"),
+    ("gamma", float("inf"), "concentration"), ("proxy_fraction", 0.0, "proxy fraction"),
+    ("proxy_fraction", 1.0, "proxy fraction"), ("proxy_fraction", 1.5, "proxy fraction"),
+    ("proxy_fraction", float("nan"), "proxy fraction"),
 ])
 def test_fed_config_rejects_each_bad_option(field, value, named):
     with pytest.raises(ConfigError, match=named):
@@ -622,7 +627,9 @@ def test_one_thread_leaves_blas_alone(monkeypatch, blas_at_3):
 
 # fedte's GEMMs at B=50, MNIST shape: conv1 and conv2 as im2col products, the
 # conv input gradient's col2im product, dense1 at a training and an evaluation
-# batch, and the Fisher's float64 product. Calls of 1 to 3 rows take other
+# batch, and the Fisher's float64 product. fedte may split the rows of the conv
+# stages (`Network.forward` runs them on 64 images at a time) and of dense1, so
+# these must not depend on the row count. Calls of 1 to 3 rows take other
 # OpenBLAS kernels with other bits (numpy 2.4's wheel), so the row slices hold
 # 4 rows or more: the row blocks OpenBLAS gives its threads, and fedte splits
 # no product into smaller calls than its fixed batches and chunks.
@@ -630,9 +637,24 @@ CANARY_GEMMS = [((576, 25), (25, 16), np.float32), ((4096, 400), (400, 32), np.f
                 ((3200, 32), (32, 16), np.float32), ((50, 512), (512, 512), np.float32),
                 ((256, 512), (512, 512), np.float32), ((512, 64), (64, 512), np.float64)]
 ROW_INDEPENDENCE = ("fedte assumes that a GEMM row's bits do not depend on BLAS's thread "
-                    "count or on how many rows are in the call: the chunked forward, the "
-                    "pooled evaluation and the client pool rest on it, and on this BLAS "
-                    "the thread count can change results")
+                    "count, nor, for the products whose rows it splits, on how many rows "
+                    "are in the call: the chunked forward, the pooled evaluation and the "
+                    "client pool rest on it, and on this BLAS this does not hold")
+
+
+def assert_thread_count_changes_no_bit(product, full):
+    """`product()` equals `full` at 1 BLAS thread and at every usable CPU's."""
+    blas = _openblas()
+    if blas is None:
+        return
+    get, set_ = blas
+    found = get()
+    try:
+        for threads in (1, max(2, len(os.sched_getaffinity(0)))):
+            set_(threads)
+            assert np.array_equal(product(), full), ROW_INDEPENDENCE
+    finally:
+        set_(found)
 
 
 @pytest.mark.parametrize("a_shape, b_shape, dtype", CANARY_GEMMS,
@@ -646,17 +668,20 @@ def test_blas_canary_gemm_rows_independent_of_threads_and_rows(a_shape, b_shape,
     rows = a_shape[0]
     for start, stop in ((0, 4), (5, 12), (3, 67), (rows // 2, rows), (1, rows)):
         assert np.array_equal(a[start:stop] @ b, full[start:stop]), ROW_INDEPENDENCE
-    blas = _openblas()
-    if blas is None:
-        return
-    get, set_ = blas
-    found = get()
-    try:
-        for threads in (1, max(2, len(os.sched_getaffinity(0)))):
-            set_(threads)
-            assert np.array_equal(a @ b, full), ROW_INDEPENDENCE
-    finally:
-        set_(found)
+    assert_thread_count_changes_no_bit(lambda: a @ b, full)
+
+
+def test_blas_canary_dense2_independent_of_threads():
+    # dense2, `Dense.forward`'s a @ w.T with w of shape (10, 512), at an
+    # evaluation batch: on numpy 2.4's OpenBLAS its row slices 0:4, 5:12, 3:67
+    # and 0:64 differ from the full product's rows, so only the thread count is
+    # checked. fedte never splits its rows: the evaluation batch (EVAL_BATCH),
+    # the SGD batch and the Fisher chunk (CHUNK) fix them, and those batch
+    # sizes are part of metrics.csv's bits.
+    rng = np.random.default_rng(24)
+    a = rng.standard_normal((EVAL_BATCH, 512)).astype(np.float32)
+    w = rng.standard_normal((10, 512)).astype(np.float32)
+    assert_thread_count_changes_no_bit(lambda: a @ w.T, a @ w.T)
 
 
 # -- the ordered map -----------------------------------------------------------
