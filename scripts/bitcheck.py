@@ -8,10 +8,12 @@ synthetic data files with perfbench/synth.py, and runs `fedte run` from both
 trees over a matrix of cases. The default matrix (about 110 s on a 2-vCPU VM):
 every variant at gamma 1 and 100 on 2000/700 MNIST-shape files, seeds 1 and 2,
 4 rounds, with --save-trajectory and a 96-example Fisher on a 10% proxy; the
--TE variants on the same files limited to their first 1500/500 records; and
+-TE variants on the same files limited to their first 1507/500 records; and
 the -TE variants at gamma 1 on 1000/300 CIFAR-10-shape batch files, seeds 1
-and 2, 3 rounds. Every proxy (200, 150 and 100 examples) is larger than the
-Fisher sample, so each FedCL round draws its subsample and pools two chunks.
+and 2, 3 rounds. Every proxy (200, 151 and 100 examples) is larger than the
+Fisher sample, so each FedCL round draws its subsample and pools two chunks;
+the 1507 records hold seven classes of 151 and three of 150, so the 151-row
+proxy takes one example past the classes' floors in the split's apportionment.
 `--paper` runs instead fedprox-te and fedcl-te for 2 rounds with the default
 options on 60k/10k MNIST-shape files (about 105 s). Each tree
 runs its matrix twice: pinned to one CPU by `taskset`, so that no phase runs
@@ -49,7 +51,7 @@ Case = collections.namedtuple("Case", "name dataset variants gammas flags")
 CASES = (
     Case("mnist", "mnist", VARIANTS, (1, 100), FLAGS),
     Case("mnist-limited", "mnist", TE_VARIANTS, (1,),
-         FLAGS + ("--limit-train", "1500", "--limit-test", "500")),
+         FLAGS + ("--limit-train", "1507", "--limit-test", "500")),
     Case("cifar10", "cifar10", TE_VARIANTS, (1,),
          ("--seed", "1,2", "--rounds", "3", "--save-trajectory", "--proxy-fraction", "0.1",
           "--fisher-samples", "96")),

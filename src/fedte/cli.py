@@ -207,13 +207,17 @@ def _write_json(path, payload):
         f.write("\n")
 
 
+def _run_dir(opts, cfg):
+    return os.path.join(opts["out_dir"], f"{cfg.variant}_seed{cfg.seed}")
+
+
 def run_single(opts, cfg, thresholds, train, test):
     """One (variant, seed) run of `cfg`; returns the output directory."""
     stride = opts["traj_stride"] if opts["save_trajectory"] else 0
     net = Network(baseline_cnn(train.input_shape))
     split, state = prepare(cfg, train, net)  # rejects the config before any output
 
-    run_dir = os.path.join(opts["out_dir"], f"{cfg.variant}_seed{cfg.seed}")
+    run_dir = _run_dir(opts, cfg)
     os.makedirs(run_dir, exist_ok=True)
     metrics_path = os.path.join(run_dir, "metrics.csv")
     started = datetime.now(timezone.utc).isoformat()
@@ -296,22 +300,22 @@ def cmd_run(args):
                 raise ConfigError(f"{key} must be >= {low}, got {opts[key]}")
         training = {f.name: opts[f.name] for f in fields(FedConfig)}
         cfgs = [FedConfig(**training | {"seed": s}) for s in _parse_seeds(opts["seed"])]
+        # a run writes summary.json first after its rounds, so an earlier run
+        # without one left only metrics.csv, which a new run rewrites; one with
+        # it may have files the new run would leave beside its own
+        for path in (_run_dir(opts, cfg) for cfg in cfgs):
+            if os.path.exists(os.path.join(path, "summary.json")):
+                raise ConfigError(f"run directory {path} holds a finished run")
         train, test = load_dataset(opts["dataset"], opts["data_dir"], opts["limit_train"],
                                    opts["limit_test"])
+        for cfg in cfgs:
+            print(f"run complete: {run_single(opts, cfg, thresholds, train, test)}")
+    except DivergenceError as exc:
+        print(f"error: {exc} (partial metrics preserved)", file=sys.stderr)
+        return 1
     except (ConfigError, IngestionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    for cfg in cfgs:
-        try:
-            run_dir = run_single(opts, cfg, thresholds, train, test)
-        except DivergenceError as exc:
-            print(f"error: {exc} (partial metrics preserved)", file=sys.stderr)
-            return 1
-        except (ConfigError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(f"run complete: {run_dir}")
     return 0
 
 
@@ -347,91 +351,81 @@ def _load_summary(path):
     return summary
 
 
-def _disagreement(pairs, keys):
-    """Why the (path, summary) pairs differ in a config key of `keys`, or None."""
+def _check_agreement(pairs, keys):
+    """ConfigError saying why the (path, summary) pairs differ in a config key of `keys`."""
     (path0, first), rest = pairs[0], pairs[1:]
     for path, summary in rest:
         diff = {k: (first["config"][k], summary["config"][k]) for k in keys
                 if summary["config"][k] != first["config"][k]}
         if diff:
-            return f"{path} is not config-compatible with {path0}: {diff}"
-    return None
+            raise ConfigError(f"{path} is not config-compatible with {path0}: {diff}")
 
 
 def cmd_compare(args):
     try:
         thresholds = _parse_thresholds(args.thresholds)
         summaries = [_load_summary(path) for path in args.summaries]
-    except ConfigError as exc:
+        if len(summaries) < 2:
+            raise ConfigError("need at least two summaries")
+
+        pairs = list(zip(args.summaries, summaries))
+        groups = {}
+        for path, summary in pairs:
+            group = groups.setdefault(summary["variant"], [])
+            if twins := [p for p, s in group if s["seed"] == summary["seed"]]:
+                raise ConfigError(f"{path} repeats the variant and seed of {twins[0]}")
+            group.append((path, summary))
+        checks = [(pairs, FAMILY_KEYS)] + [(group, VARIANT_OPTIONS.get(variant, VARIANT_KEYS))
+                                           for variant, group in groups.items()]
+        for group, keys in checks:
+            _check_agreement(group, keys)
+        by_variant = {v: [s for _, s in group] for v, group in groups.items()}
+
+        report = {"thresholds": thresholds, "variants": {}, "reductions": {}}
+        print(f"{'variant':<12} {'seeds':>5} " +
+              " ".join(f"r@{t:g}".rjust(8) for t in thresholds) +
+              "  conv_acc")
+        for variant, group in sorted(by_variant.items()):
+            entry = {
+                "seeds": [s["seed"] for s in group],
+                "rounds_to_threshold": {
+                    str(t): _median_rounds(group, t) for t in thresholds
+                },
+                "converged_accuracy": statistics.median(
+                    s["converged_accuracy"] for s in group
+                ),
+            }
+            report["variants"][variant] = entry
+            cells = " ".join(
+                str(entry["rounds_to_threshold"][str(t)] or "-").rjust(8)
+                for t in thresholds
+            )
+            print(f"{variant:<12} {len(group):>5} {cells}  "
+                  f"{entry['converged_accuracy']:.4f}")
+
+        for te_variant in by_variant:
+            if not te_variant.endswith("-te"):
+                continue
+            base = te_variant[:-3]
+            if base not in by_variant:
+                continue
+            for t in thresholds:
+                base_r = report["variants"][base]["rounds_to_threshold"][str(t)]
+                te_r = report["variants"][te_variant]["rounds_to_threshold"][str(t)]
+                key = f"{te_variant}_vs_{base}@{t:g}"
+                if base_r is None or te_r is None:
+                    report["reductions"][key] = None
+                    print(f"{key}: not reached")
+                else:
+                    reduction = (base_r - te_r) / base_r
+                    report["reductions"][key] = reduction
+                    print(f"{key}: round reduction {100 * reduction:.1f}%")
+
+        if args.out:
+            _write_json(args.out, report)
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if len(summaries) < 2:
-        print("error: need at least two summaries", file=sys.stderr)
-        return 2
-
-    pairs = list(zip(args.summaries, summaries))
-    groups = {}
-    for path, summary in pairs:
-        group = groups.setdefault(summary["variant"], [])
-        if twins := [p for p, s in group if s["seed"] == summary["seed"]]:
-            print(f"error: {path} repeats the variant and seed of {twins[0]}", file=sys.stderr)
-            return 2
-        group.append((path, summary))
-    checks = [(pairs, FAMILY_KEYS)] + [(group, VARIANT_OPTIONS.get(variant, VARIANT_KEYS))
-                                       for variant, group in groups.items()]
-    for group, keys in checks:
-        problem = _disagreement(group, keys)
-        if problem:
-            print(f"error: {problem}", file=sys.stderr)
-            return 2
-    by_variant = {v: [s for _, s in group] for v, group in groups.items()}
-
-    report = {"thresholds": thresholds, "variants": {}, "reductions": {}}
-    print(f"{'variant':<12} {'seeds':>5} " +
-          " ".join(f"r@{t:g}".rjust(8) for t in thresholds) +
-          "  conv_acc")
-    for variant, group in sorted(by_variant.items()):
-        entry = {
-            "seeds": [s["seed"] for s in group],
-            "rounds_to_threshold": {
-                str(t): _median_rounds(group, t) for t in thresholds
-            },
-            "converged_accuracy": statistics.median(
-                s["converged_accuracy"] for s in group
-            ),
-        }
-        report["variants"][variant] = entry
-        cells = " ".join(
-            str(entry["rounds_to_threshold"][str(t)] or "-").rjust(8)
-            for t in thresholds
-        )
-        print(f"{variant:<12} {len(group):>5} {cells}  "
-              f"{entry['converged_accuracy']:.4f}")
-
-    for te_variant in by_variant:
-        if not te_variant.endswith("-te"):
-            continue
-        base = te_variant[:-3]
-        if base not in by_variant:
-            continue
-        for t in thresholds:
-            base_r = report["variants"][base]["rounds_to_threshold"][str(t)]
-            te_r = report["variants"][te_variant]["rounds_to_threshold"][str(t)]
-            key = f"{te_variant}_vs_{base}@{t:g}"
-            if base_r is None or te_r is None:
-                report["reductions"][key] = None
-                print(f"{key}: not reached")
-            else:
-                reduction = (base_r - te_r) / base_r
-                report["reductions"][key] = reduction
-                print(f"{key}: round reduction {100 * reduction:.1f}%")
-
-    if args.out:
-        try:
-            _write_json(args.out, report)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     return 0
 
 

@@ -153,15 +153,10 @@ def dirichlet_partition(labels, clients, gamma, seed):
         total = weights.sum()
         probs = weights / total if total > 0 else np.full(k, 1.0 / k)
         split = rng.multinomial(len(idx), probs)
-        bounds = np.cumsum(split)[:-1]
-        for client, part in enumerate(np.split(idx, bounds)):
-            if part.size:
-                assigned[client].append(part)
+        for parts, part in zip(assigned, np.split(idx, np.cumsum(split)[:-1])):
+            parts.append(part)  # empty ones too, so no client concatenates an empty list
 
-    shards = [
-        np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
-        for parts in assigned
-    ]
+    shards = [np.sort(np.concatenate(parts)) for parts in assigned]
     for client in range(k):
         if shards[client].size == 0:
             donor = int(np.argmax([s.size for s in shards]))
@@ -172,39 +167,36 @@ def dirichlet_partition(labels, clients, gamma, seed):
 
 def split_proxy(labels, fraction, seed):
     """Stratified split of the positions of `labels` into sorted index arrays
-    (train, proxy), with >= 1 proxy and >= 1 training example per class."""
+    (train, proxy): a proxy of round(fraction * n) rows with >= 1 proxy and >= 1
+    training example per class, or ConfigError where no such proxy exists."""
     if not (0 < fraction < 1):
         raise ConfigError(f"proxy fraction must be in (0, 1), got {fraction}")
     n = len(labels)
     counts = np.bincount(labels)
     present = np.flatnonzero(counts)
-    single = present[counts[present] == 1]
+    sizes = counts[present]
+    single = present[sizes == 1]
     if single.size:
         raise ConfigError(f"class {single[0]} has one example; a class needs two, one for "
                           "the proxy and one for training")
     total = int(round(fraction * n))
-    if total < present.size:
-        raise ConfigError(
-            f"proxy fraction {fraction} yields {total} examples, fewer than "
-            f"{present.size} classes"
-        )
-
-    exact = fraction * counts[present]
-    take = np.clip(np.floor(exact).astype(int), 1, counts[present] - 1)
-    remainder = exact - np.floor(exact)
-    # largest-remainder apportionment onto the rounded total
-    order = np.argsort(-remainder, kind="stable")
+    exact = fraction * sizes
+    take = np.maximum(np.floor(exact).astype(int), 1)
+    # largest-remainder apportionment onto the rounded total, in whole passes:
+    # each moves one example into (or out of) every class, in order, that keeps
+    # one proxy and one training example after the move
+    order = np.argsort(-(exact - np.floor(exact)), kind="stable")
     deficit = total - int(take.sum())
-    pos = 0
-    while deficit != 0 and pos < 10 * present.size:
-        ci = order[pos % present.size]
-        if deficit > 0 and take[ci] < counts[present][ci] - 1:
-            take[ci] += 1
-            deficit -= 1
-        elif deficit < 0 and take[ci] > 1:
-            take[ci] -= 1
-            deficit += 1
-        pos += 1
+    while deficit:
+        step = int(np.sign(deficit))
+        moved = order[(take[order] + step >= 1) & (take[order] + step < sizes[order])]
+        if moved.size == 0:
+            raise ConfigError(
+                f"proxy fraction {fraction} yields {total} of {n} examples; each of the "
+                f"{present.size} classes needs one in the proxy and one for training")
+        moved = moved[:abs(deficit)]
+        take[moved] += step
+        deficit -= step * moved.size
 
     rng = np.random.default_rng(seed)
     proxy_parts = []

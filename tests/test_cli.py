@@ -482,6 +482,26 @@ def test_run_bad_data_files_fail_before_any_output(tmp_path, capsys, case, named
     assert not list(tmp_path.glob("out/*_seed*"))
 
 
+@pytest.mark.parametrize("fraction", ["0.9", "0.99"])
+def test_run_with_a_proxy_that_leaves_a_class_no_training_example_writes_nothing(
+        tmp_path, capsys, fraction):
+    # 5 training examples per class hold a proxy of at most 40 of 50 rows
+    data = tmp_path / "data"
+    write_idx_dataset(str(data))
+    train_files = (str(data / "train-images-idx3-ubyte"), str(data / "train-labels-idx1-ubyte"))
+    train = load_idx(*train_files).subset(np.arange(50))
+    train.labels[:] = np.repeat(np.arange(10), 5)
+    save_idx(train, *train_files)
+    out = tmp_path / "out"
+    assert run_cli(data, out, "--variant", "fedavg", "--seed", "1", "--clients", "1",
+                   "--ratio", "1", "--proxy-fraction", fraction) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: proxy fraction {fraction} yields")
+    assert len(captured.err.splitlines()) == 1
+    assert not list(out.glob("*_seed*"))
+
+
 def write_cifar_dir(data, n=20):
     """Five CIFAR-10 training batches and a test batch of `n` random records each."""
     data.mkdir()
@@ -650,6 +670,51 @@ def test_run_into_an_existing_file_is_an_error(data_dir, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]
     assert out.read_text() == ""
+
+
+def test_a_rerun_into_a_finished_run_is_refused_and_keeps_its_files(data_dir, tmp_path,
+                                                                     capsys):
+    out = tmp_path / "out"
+    assert run_cli(data_dir, out, "--variant", "fedavg", "--seed", "1", "--rounds", "4",
+                   "--save-trajectory") == 0
+    run_dir = out / "fedavg_seed1"
+    first = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+    assert "trajectory.csv" in first
+    capsys.readouterr()
+    # without the refusal, a 2-round run left the 4-round trajectory.csv behind
+    assert run_cli(data_dir, out, "--variant", "fedavg", "--seed", "1") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: run directory {run_dir} holds a finished run\n"
+    assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == first
+
+
+def test_a_seed_list_with_one_finished_run_writes_nothing(data_dir, tmp_path, monkeypatch,
+                                                          capsys):
+    def no_load(*args):
+        raise AssertionError("dataset loaded")
+
+    monkeypatch.setattr("fedte.cli.load_dataset", no_load)
+    out = tmp_path / "out"
+    (out / "fedavg_seed2").mkdir(parents=True)
+    (out / "fedavg_seed2" / "summary.json").write_text("{}")
+    assert run_cli(data_dir, out, "--variant", "fedavg", "--seed", "1,2") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: run directory {out / 'fedavg_seed2'} holds a finished run\n"
+    assert [p.name for p in out.iterdir()] == ["fedavg_seed2"]
+
+
+def test_a_run_rewrites_the_metrics_of_a_run_that_stopped_in_its_rounds(data_dir, tmp_path):
+    # a diverged, interrupted or set-up-only run leaves metrics.csv alone, and
+    # the benchmark's set-up-only invocations run into one such directory
+    (tmp_path / "stopped" / "fedavg_seed1").mkdir(parents=True)
+    (tmp_path / "stopped" / "fedavg_seed1" / "metrics.csv").write_text("round\n1\n2\n3\n")
+    for out in ("stopped", "fresh"):
+        assert run_cli(data_dir, tmp_path / out, "--variant", "fedavg", "--seed", "1") == 0
+    stopped, fresh = (tmp_path / out / "fedavg_seed1" for out in ("stopped", "fresh"))
+    assert sorted(p.name for p in stopped.iterdir()) == sorted(p.name for p in fresh.iterdir())
+    assert (stopped / "metrics.csv").read_bytes() == (fresh / "metrics.csv").read_bytes()
 
 
 def test_limited_run_equals_a_run_on_files_of_the_first_records(data_dir, tmp_path):

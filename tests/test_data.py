@@ -345,6 +345,128 @@ def test_split_proxy_stratified_count():
     assert np.bincount(ds.labels[proxy_rows], minlength=10).min() >= 1
 
 
+def _reference_split_proxy(labels, fraction, seed):
+    """split_proxy as it was with a per-class cyclic apportionment loop, kept
+    as the oracle: it stops after 10 steps per class, with the deficit unpaid
+    when no class has room, and then returns a proxy short of its total."""
+    n = len(labels)
+    counts = np.bincount(labels)
+    present = np.flatnonzero(counts)
+    total = int(round(fraction * n))
+    exact = fraction * counts[present]
+    take = np.clip(np.floor(exact).astype(int), 1, counts[present] - 1)
+    remainder = exact - np.floor(exact)
+    order = np.argsort(-remainder, kind="stable")
+    deficit = total - int(take.sum())
+    pos = 0
+    while deficit != 0 and pos < 10 * present.size:
+        ci = order[pos % present.size]
+        if deficit > 0 and take[ci] < counts[present][ci] - 1:
+            take[ci] += 1
+            deficit -= 1
+        elif deficit < 0 and take[ci] > 1:
+            take[ci] -= 1
+            deficit += 1
+        pos += 1
+    rng = np.random.default_rng(seed)
+    proxy_parts = []
+    for ci, cls in enumerate(present):
+        idx = rng.permutation(np.flatnonzero(labels == cls))
+        proxy_parts.append(idx[: take[ci]])
+    proxy_rows = np.sort(np.concatenate(proxy_parts))
+    mask = np.ones(n, dtype=bool)
+    mask[proxy_rows] = False
+    return np.flatnonzero(mask), proxy_rows
+
+
+def test_split_proxy_equals_the_cyclic_apportionment_or_refuses_where_it_fell_short():
+    rng = np.random.default_rng(20)
+    filled = short = 0
+    for trial in range(3000):
+        counts = rng.integers(2, 30, rng.integers(1, 11))
+        labels = rng.permutation(np.repeat(np.arange(counts.size), counts))
+        fraction = rng.uniform(0.01, 0.99)
+        if int(round(fraction * labels.size)) < counts.size:
+            continue  # fewer proxy rows than classes: both refuse
+        reference = _reference_split_proxy(labels, fraction, trial)
+        if reference[1].size == int(round(fraction * labels.size)):
+            filled += 1
+            for got, want in zip(split_proxy(labels, fraction, trial), reference):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+        else:
+            short += 1
+            with pytest.raises(ConfigError, match="proxy fraction"):
+                split_proxy(labels, fraction, trial)
+    assert filled > 1000 and short > 100  # both outcomes are exercised
+
+
+def test_split_proxy_mnist_class_counts_at_one_percent():
+    # the real MNIST training set's class counts; the 1% proxy has deficit 4
+    counts = [5923, 6742, 5958, 6131, 5842, 5421, 5918, 6265, 5851, 5949]
+    labels = np.repeat(np.arange(10), counts)
+    _, proxy_rows = split_proxy(labels, 0.01, seed=0)
+    assert np.bincount(labels[proxy_rows]).tolist() == [59, 67, 60, 61, 58, 54, 59, 63, 59, 60]
+
+
+@pytest.mark.parametrize("fraction", [0.9, 0.99])
+def test_split_proxy_refuses_a_proxy_that_leaves_a_class_no_training_example(fraction):
+    # 5 examples per class leave room for a proxy of at most 40 of 50 rows; the
+    # cyclic loop returned those 40 for a total of 45 or 50
+    labels = np.repeat(np.arange(10), 5)
+    with pytest.raises(ConfigError, match=f"proxy fraction {fraction} yields"):
+        split_proxy(labels, fraction, seed=0)
+    assert _reference_split_proxy(labels, fraction, 0)[1].size == 40
+
+
+def _reference_dirichlet_partition(labels, clients, gamma, seed):
+    """dirichlet_partition as it was, skipping empty parts, kept as the oracle."""
+    n, k = len(labels), clients
+    counts = np.bincount(labels)
+    present = np.flatnonzero(counts)
+    prior = counts[present] / n
+    rng = np.random.default_rng(seed)
+    q = rng.dirichlet(gamma * prior, size=k)
+    q = np.nan_to_num(q, nan=0.0)
+    assigned = [[] for _ in range(k)]
+    for ci, cls in enumerate(present):
+        idx = rng.permutation(np.flatnonzero(labels == cls))
+        weights = q[:, ci]
+        total = weights.sum()
+        probs = weights / total if total > 0 else np.full(k, 1.0 / k)
+        split = rng.multinomial(len(idx), probs)
+        bounds = np.cumsum(split)[:-1]
+        for client, part in enumerate(np.split(idx, bounds)):
+            if part.size:
+                assigned[client].append(part)
+    shards = [
+        np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
+        for parts in assigned
+    ]
+    for client in range(k):
+        if shards[client].size == 0:
+            donor = int(np.argmax([s.size for s in shards]))
+            shards[client] = shards[donor][-1:]
+            shards[donor] = shards[donor][:-1]
+    return shards
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 1.0])
+def test_partition_with_empty_parts_equals_the_partition_that_skipped_them(gamma):
+    rng = np.random.default_rng(21)
+    lacking = 0
+    for seed in range(200):
+        labels = rng.integers(0, rng.integers(1, 11), rng.integers(5, 120))
+        k = int(rng.integers(1, min(labels.size, 12) + 1))
+        got = dirichlet_partition(labels, k, gamma, seed)
+        want = _reference_dirichlet_partition(labels, k, gamma, seed)
+        assert len(got) == len(want) == k
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+        # a shard that misses a class the labels hold got an empty part of it
+        lacking += any(np.unique(labels[a]).size < np.unique(labels).size for a in got)
+    assert lacking > 100
+
+
 def test_iterate_batches_sizes_and_conservation():
     ds = synth_dataset(200, 9)
     shards = dirichlet_partition(ds.labels, 2, 1.0, 0)
