@@ -1,9 +1,10 @@
 """Command-line experiment runner.
 
 `fedte run` executes one or more (variant, seed) federated runs and writes
-metrics.csv, summary.json, manifest.json and optionally trajectory.csv per
-run. `fedte compare` tabulates rounds-to-threshold across summaries and the
-relative round reduction of the -TE variants against their base algorithms.
+metrics.csv, summary.json (the run's config, its times and its accuracy
+curve) and optionally trajectory.csv per run. `fedte compare` tabulates
+rounds-to-threshold across summaries and the relative round reduction of the
+-TE variants against their base algorithms.
 
 Config files are flat `key = value` text; command-line flags win.
 """
@@ -47,7 +48,7 @@ VARIANT_KEYS = tuple(sorted({key for keys in VARIANT_OPTIONS.values() for key in
 # limits, the window and every training option but the variant, seed and those
 FAMILY_KEYS = ("dataset", "limit_train", "limit_test", "window") + tuple(
     f.name for f in fields(FedConfig) if f.name not in ("variant", "seed", *VARIANT_KEYS))
-SUMMARY_KEYS = ("variant", "seed", "accuracy", "converged_accuracy")
+SUMMARY_KEYS = ("accuracy", "converged_accuracy")
 
 
 def parse_config_file(path):
@@ -198,6 +199,8 @@ def _parse_thresholds(raw):
         thresholds = [float(t) for t in str(raw).split(",") if t.strip()]
     except ValueError:
         raise ConfigError(f"thresholds must be numbers, got {raw!r}") from None
+    if not thresholds:
+        raise ConfigError("no threshold given")
     return [check_threshold(t) for t in thresholds]
 
 
@@ -219,11 +222,10 @@ def run_single(opts, cfg, thresholds, train, test):
 
     run_dir = _run_dir(opts, cfg)
     os.makedirs(run_dir, exist_ok=True)
-    metrics_path = os.path.join(run_dir, "metrics.csv")
     started = datetime.now(timezone.utc).isoformat()
 
     stored = []  # (round, global model) every `stride` rounds and at the last
-    with open(metrics_path, "w", newline="") as f:
+    with open(os.path.join(run_dir, "metrics.csv"), "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["round", "selected_clients", "test_accuracy",
                          "test_loss", "lr"])
@@ -241,51 +243,26 @@ def run_single(opts, cfg, thresholds, train, test):
     del split, state
 
     accuracy = [r.test_accuracy for r in records]
-    config = {k: opts[k] for k in DEFAULTS} | {"seed": cfg.seed}  # this run's seed
-    summary = {
-        "variant": cfg.variant,
-        "alpha": cfg.alpha,
-        "beta": cfg.beta,
-        "seed": cfg.seed,
-        "dataset": opts["dataset"],
-        "rounds_to_threshold": {
-            str(t): rounds_to_accuracy(accuracy, t) for t in thresholds
-        },
-        "converged_accuracy": converged_accuracy(
-            accuracy, min(opts["window"], len(accuracy))
-        ),
+    _write_json(os.path.join(run_dir, "summary.json"), {
+        "artifact_version": __version__,
+        "config": {k: opts[k] for k in DEFAULTS} | {"seed": cfg.seed},  # this run's seed
+        "started": started,
+        "finished": datetime.now(timezone.utc).isoformat(),
+        "rounds_to_threshold": {str(t): rounds_to_accuracy(accuracy, t) for t in thresholds},
+        "converged_accuracy": converged_accuracy(accuracy, min(opts["window"], len(accuracy))),
         "accuracy": accuracy,
         "loss": [r.test_loss for r in records],
-        "config": config,
-    }
-    _write_json(os.path.join(run_dir, "summary.json"), summary)
+    })
 
-    outputs = {"metrics": metrics_path,
-               "summary": os.path.join(run_dir, "summary.json")}
-    if stride and len(stored) < 3:
-        print("warning: fewer than 3 stored models, skipping trajectory",
-              file=sys.stderr)
-    elif stride:
+    if stride:
         from .analysis import pca_trajectory
 
-        traj = pca_trajectory([p for _, p in stored],
-                              rounds=[rd for rd, _ in stored])
-        traj_path = os.path.join(run_dir, "trajectory.csv")
-        with open(traj_path, "w", newline="") as f:
+        traj = pca_trajectory([p for _, p in stored], rounds=[rd for rd, _ in stored])
+        with open(os.path.join(run_dir, "trajectory.csv"), "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["round", "x", "y"])
             for rd, x, y in traj.points:
                 writer.writerow([rd, repr(x), repr(y)])
-        outputs["trajectory"] = traj_path
-
-    manifest = {
-        "artifact_version": __version__,
-        "started": started,
-        "finished": datetime.now(timezone.utc).isoformat(),
-        "config": config,
-        "outputs": outputs,
-    }
-    _write_json(os.path.join(run_dir, "manifest.json"), manifest)
     return run_dir
 
 
@@ -300,6 +277,12 @@ def cmd_run(args):
                 raise ConfigError(f"{key} must be >= {low}, got {opts[key]}")
         training = {f.name: opts[f.name] for f in fields(FedConfig)}
         cfgs = [FedConfig(**training | {"seed": s}) for s in _parse_seeds(opts["seed"])]
+        # run_single keeps the model of rounds 1, 1 + stride, ... and of the last
+        rounds, stride = cfgs[0].rounds, opts["traj_stride"]
+        stored = len(range(1, rounds + 1, stride)) + ((rounds - 1) % stride != 0)
+        if opts["save_trajectory"] and stored < 3:
+            raise ConfigError(f"a trajectory needs 3 stored models; {rounds} rounds at "
+                              f"traj_stride {stride} store {stored}")
         # a run writes summary.json first after its rounds, so an earlier run
         # without one left only metrics.csv, which a new run rewrites; one with
         # it may have files the new run would leave beside its own
@@ -338,12 +321,16 @@ def _load_summary(path):
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: not a summary with a 'config' object")
     missing = [k for k in SUMMARY_KEYS if k not in summary]
-    missing += [f"config.{k}" for k in FAMILY_KEYS + VARIANT_KEYS if k not in config]
+    missing += [f"config.{k}" for k in ("variant", "seed") + FAMILY_KEYS + VARIANT_KEYS
+                if k not in config]
     if missing:
         raise ConfigError(f"{path}: missing {', '.join(missing)}")
     real = (int, float)  # JSON numbers: type(), not isinstance, so that no bool passes
-    wanted = {"variant": (str,), "seed": (int,), "accuracy": (list,), "converged_accuracy": real}
-    wrong = [k for k, types in wanted.items() if type(summary[k]) not in types]
+    wanted = {"config.variant": (config["variant"], (str,)),
+              "config.seed": (config["seed"], (int,)),
+              "accuracy": (summary["accuracy"], (list,)),
+              "converged_accuracy": (summary["converged_accuracy"], real)}
+    wrong = [k for k, (value, types) in wanted.items() if type(value) not in types]
     if "accuracy" not in wrong and any(type(a) not in real for a in summary["accuracy"]):
         wrong.append("accuracy")
     if wrong:
@@ -371,8 +358,9 @@ def cmd_compare(args):
         pairs = list(zip(args.summaries, summaries))
         groups = {}
         for path, summary in pairs:
-            group = groups.setdefault(summary["variant"], [])
-            if twins := [p for p, s in group if s["seed"] == summary["seed"]]:
+            config = summary["config"]
+            group = groups.setdefault(config["variant"], [])
+            if twins := [p for p, s in group if s["config"]["seed"] == config["seed"]]:
                 raise ConfigError(f"{path} repeats the variant and seed of {twins[0]}")
             group.append((path, summary))
         checks = [(pairs, FAMILY_KEYS)] + [(group, VARIANT_OPTIONS.get(variant, VARIANT_KEYS))
@@ -387,7 +375,7 @@ def cmd_compare(args):
               "  conv_acc")
         for variant, group in sorted(by_variant.items()):
             entry = {
-                "seeds": [s["seed"] for s in group],
+                "seeds": [s["config"]["seed"] for s in group],
                 "rounds_to_threshold": {
                     str(t): _median_rounds(group, t) for t in thresholds
                 },

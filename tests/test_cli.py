@@ -43,13 +43,14 @@ def test_run_writes_outputs(data_dir, tmp_path):
         assert metrics[0] == "round,selected_clients,test_accuracy,test_loss,lr"
         assert len(metrics) == 3  # header + 2 rounds
         summary = json.loads((run_dir / "summary.json").read_text())
-        assert summary["variant"] == "fedprox-te"
         assert len(summary["accuracy"]) == 2
-        manifest = json.loads((run_dir / "manifest.json").read_text())
-        assert manifest["config"]["rounds"] == 2
-        assert manifest["config"]["seed"] == seed
         # one echo of the run's config, with its own seed, not the seed list
-        assert summary["config"] == manifest["config"]
+        assert summary["config"] == {**DEFAULTS, "dataset": "mnist", "data_dir": str(data_dir),
+                                     "out_dir": str(out), "clients": 4, "ratio": 0.5,
+                                     "epochs": 1, "batch": 32, "rounds": 2,
+                                     "proxy_fraction": 0.05, "fisher_samples": 16,
+                                     "variant": "fedprox-te", "alpha": 1.0, "beta": 0.2,
+                                     "seed": seed}
 
 
 def test_run_deterministic_metrics(data_dir, tmp_path):
@@ -71,12 +72,14 @@ def test_missing_dataset_names_path(tmp_path, capsys):
     assert "nowhere" in err
 
 
-def test_trajectory_output(data_dir, tmp_path):
+def test_trajectory_output(data_dir, tmp_path, capsys):
+    # 2 rounds store 2 models, below the PCA's 3: refused before any training
     out = tmp_path / "out"
     assert run_cli(data_dir, out, "--variant", "fedavg", "--seed", "3",
-                   "--save-trajectory", "--traj-stride", "1") == 0
-    # 2 rounds stored but a trajectory needs >= 3 points? stride=1, rounds=2
-    # is below the PCA minimum, so bump rounds instead
+                   "--save-trajectory", "--traj-stride", "1") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "trajectory" in err[0]
+    assert not out.exists()
     out2 = tmp_path / "out2"
     assert main(["run", "--dataset", "mnist", "--data-dir", str(data_dir),
                  "--out-dir", str(out2), "--clients", "4", "--ratio", "0.5",
@@ -100,15 +103,15 @@ def test_config_file_and_override(data_dir, tmp_path):
     assert len(metrics.splitlines()) == 4  # flag overrides config rounds
 
 
-def test_manifest_reproduces_run(data_dir, tmp_path):
+def test_summary_config_reproduces_run(data_dir, tmp_path):
     out = tmp_path / "out"
     assert run_cli(data_dir, out, "--variant", "fedprox",
                    "--alpha", "1", "--seed", "5") == 0
     run_dir = out / "fedprox_seed5"
-    manifest = json.loads((run_dir / "manifest.json").read_text())
+    summary = json.loads((run_dir / "summary.json").read_text())
 
     cfg_lines = []
-    for key, value in manifest["config"].items():
+    for key, value in summary["config"].items():
         if key in DEFAULTS:
             cfg_lines.append(f"{key} = {value}")
     cfg_lines.append(f"out_dir = {tmp_path / 'replay'}")
@@ -122,9 +125,20 @@ def test_manifest_reproduces_run(data_dir, tmp_path):
 
 
 def _write_summary(path, variant, curve, seed=1, **config_overrides):
-    config = dict(DEFAULTS)
-    config["variant"] = variant
-    config.update(config_overrides)
+    config = dict(DEFAULTS, variant=variant, seed=seed, **config_overrides)
+    payload = {
+        "artifact_version": fedte.__version__, "config": config,
+        "started": "2021-08-19T00:00:00+00:00", "finished": "2021-08-19T01:00:00+00:00",
+        "rounds_to_threshold": {}, "converged_accuracy": float(curve[-1]),
+        "accuracy": list(curve), "loss": [0.0] * len(curve),
+    }
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _write_old_summary(path, variant, curve, seed=1):
+    """A summary as `fedte run` wrote it while the config had copies beside `config`."""
+    config = dict(DEFAULTS, variant=variant, seed=seed)
     payload = {
         "variant": variant, "alpha": 1.0, "beta": 0.2, "seed": seed,
         "dataset": config["dataset"],
@@ -134,6 +148,21 @@ def _write_summary(path, variant, curve, seed=1, **config_overrides):
     }
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def test_compare_reads_summaries_of_the_old_format(tmp_path):
+    base_curve = [0.5] * 99 + [0.96, 0.97]
+    te_curve = [0.5] * 79 + [0.96, 0.97]
+    reports = []
+    for write in (_write_summary, _write_old_summary):
+        paths = [write(tmp_path / f"{v}{seed}.json", v, curve, seed=seed)
+                 for v, curve in (("fedprox", base_curve), ("fedprox-te", te_curve))
+                 for seed in (1, 2)]
+        assert main(["compare", *paths, "--out", str(tmp_path / "report.json")]) == 0
+        reports.append(json.loads((tmp_path / "report.json").read_text()))
+    assert reports[0] == reports[1]
+    assert reports[0]["variants"]["fedprox"]["seeds"] == [1, 2]
+    assert reports[0]["reductions"]["fedprox-te_vs_fedprox@0.95"] == pytest.approx(0.2)
 
 
 def test_compare_reports_reduction(tmp_path, capsys):
@@ -289,11 +318,16 @@ def test_run_empty_seed_list_is_an_error(data_dir, tmp_path, capsys):
     (None, ["--gamma", "inf"], "concentration"),
     (None, ["--alpha", "nan"], "alpha"),
     (None, ["--lr", "inf"], "lr schedule"),
+    (None, ["--save-trajectory"], "trajectory needs 3"),
+    (None, ["--save-trajectory", "--rounds", "3", "--traj-stride", "2"],
+     "trajectory needs 3"),
+    (None, ["--thresholds", ""], "no threshold given"),
 ], ids=["missing-config", "unknown-key", "non-numeric-value", "window-0",
         "traj-stride-0", "gamma-0", "clients-above-examples", "proxy-fraction-0",
         "proxy-below-classes", "fisher-samples-negative", "fisher-samples-0",
         "seed-repeated", "seed-negative", "seed-list-negative", "gamma-nan",
-        "gamma-inf", "alpha-nan", "lr-inf"])
+        "gamma-inf", "alpha-nan", "lr-inf", "trajectory-of-2-rounds",
+        "trajectory-of-2-stored-models", "thresholds-empty"])
 def test_run_bad_option_fails_before_training(data_dir, tmp_path, monkeypatch,
                                               capsys, config_text, flags, named):
     monkeypatch.chdir(tmp_path)
@@ -317,6 +351,40 @@ def test_compare_rejects_threshold_before_any_output(tmp_path, capsys):
     assert captured.err.startswith("error:")
 
 
+def test_compare_empty_threshold_list_is_an_error(tmp_path, capsys):
+    a = _write_summary(tmp_path / "a.json", "fedprox", [0.9])
+    b = _write_summary(tmp_path / "b.json", "fedprox-te", [0.9])
+    report = tmp_path / "report.json"
+    assert main(["compare", a, b, "--thresholds", ",", "--out", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no threshold given\n"
+    assert not report.exists()
+
+
+def test_run_then_compare_round_trip(data_dir, tmp_path):
+    out = tmp_path / "out"
+    for variant, extra in (("fedprox", ()), ("fedprox-te", ("--save-trajectory",))):
+        assert run_cli(data_dir, out, "--variant", variant, "--seed", "1,2",
+                       "--rounds", "3", *extra) == 0
+    for variant, outputs in (("fedprox", {"metrics.csv", "summary.json"}),
+                             ("fedprox-te", {"metrics.csv", "summary.json", "trajectory.csv"})):
+        for seed in (1, 2):
+            run_dir = out / f"{variant}_seed{seed}"
+            assert {p.name for p in run_dir.iterdir()} == outputs
+            summary = json.loads((run_dir / "summary.json").read_text())
+            assert set(summary) == {"artifact_version", "config", "started", "finished",
+                                    "rounds_to_threshold", "converged_accuracy",
+                                    "accuracy", "loss"}
+            assert (summary["config"]["variant"], summary["config"]["seed"]) == (variant, seed)
+    report = tmp_path / "report.json"
+    assert main(["compare", *sorted(map(str, out.glob("*/summary.json"))),
+                 "--thresholds", "0.1,0.5", "--out", str(report)]) == 0
+    variants = json.loads(report.read_text())["variants"]
+    assert sorted(variants) == ["fedprox", "fedprox-te"]
+    assert [variants[v]["seeds"] for v in sorted(variants)] == [[1, 2], [1, 2]]
+
+
 def test_compare_missing_summary_is_an_error(tmp_path, capsys):
     a = _write_summary(tmp_path / "a.json", "fedprox", [0.9])
     missing = str(tmp_path / "missing.json")
@@ -329,11 +397,11 @@ def test_compare_missing_summary_is_an_error(tmp_path, capsys):
 
 # a summary key and a value of the wrong JSON type for it
 MISTYPED = {
-    "variant-list": ("variant", ["fedprox"]),
-    "variant-number": ("variant", 1),
-    "seed-list": ("seed", [1]),
-    "seed-bool": ("seed", True),
-    "seed-float": ("seed", 1.0),
+    "variant-list": ("config.variant", ["fedprox"]),
+    "variant-number": ("config.variant", 1),
+    "seed-list": ("config.seed", [1]),
+    "seed-bool": ("config.seed", True),
+    "seed-float": ("config.seed", 1.0),
     "accuracy-strings": ("accuracy", ["abc"]),
     "accuracy-bools": ("accuracy", [0.9, True]),
     "accuracy-number": ("accuracy", 0.9),
@@ -354,7 +422,12 @@ def test_compare_malformed_summary_is_an_error(tmp_path, capsys, bad):
         payload = [payload]
     elif bad in MISTYPED:
         key, value = MISTYPED[bad]
-        payload[key] = value
+        if key.startswith("config."):
+            payload["config"][key.removeprefix("config.")] = value
+        else:
+            payload[key] = value
+    elif bad in ("variant", "seed"):
+        del payload["config"][bad]
     else:
         del payload[bad]
     path = tmp_path / "bad.json"
