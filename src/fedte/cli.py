@@ -1,10 +1,11 @@
 """Command-line experiment runner.
 
 `fedte run` executes one or more (variant, seed) federated runs and writes
-metrics.csv, summary.json (the run's config, its times and its accuracy
-curve) and optionally trajectory.csv per run. `fedte compare` tabulates
-rounds-to-threshold across summaries and the relative round reduction of the
--TE variants against their base algorithms.
+metrics.csv, summary.json (the run's config, times, accuracy and loss curves)
+and optionally trajectory.csv per run. `fedte compare` derives every statistic
+from the summaries' accuracy curves: medians over seeds of rounds-to-threshold
+and converged accuracy, and the relative round reduction of the -TE variants
+against their base algorithms.
 
 Config files are flat `key = value` text; command-line flags win.
 """
@@ -36,8 +37,6 @@ DEFAULTS = {
     "traj_stride": 1,
     "limit_train": 0,
     "limit_test": 0,
-    "thresholds": "0.5,0.8,0.9,0.95",
-    "window": 20,
 }
 
 # the options some variant reads beyond FedAvg's: summaries of one variant must
@@ -45,10 +44,10 @@ DEFAULTS = {
 # median would pool different penalty weights, momenta or Fisher sizes
 VARIANT_KEYS = tuple(sorted({key for keys in VARIANT_OPTIONS.values() for key in keys}))
 # config keys that must agree for summaries to be comparable: the dataset, its
-# limits, the window and every training option but the variant, seed and those
-FAMILY_KEYS = ("dataset", "limit_train", "limit_test", "window") + tuple(
+# limits and every training option but the variant, seed and those
+FAMILY_KEYS = ("dataset", "limit_train", "limit_test") + tuple(
     f.name for f in fields(FedConfig) if f.name not in ("variant", "seed", *VARIANT_KEYS))
-SUMMARY_KEYS = ("accuracy", "converged_accuracy")
+CONVERGED_WINDOW = 20  # rounds that compare's converged accuracy averages (all of fewer)
 
 
 def parse_config_file(path):
@@ -140,8 +139,6 @@ def _pin_malloc():
 _RUN_HELP = {
     "seed": "seed or comma-separated seed list",
     "limit_train": "read only the first N training examples (0 = all)",
-    "thresholds": "comma-separated accuracy thresholds",
-    "window": "converged-accuracy window in rounds",
 }
 _RUN_CHOICES = {"dataset": ("mnist", "fashion", "cifar10"), "variant": VARIANT_KINDS}
 
@@ -214,9 +211,14 @@ def _run_dir(opts, cfg):
     return os.path.join(opts["out_dir"], f"{cfg.variant}_seed{cfg.seed}")
 
 
-def run_single(opts, cfg, thresholds, train, test):
+def _stored_rounds(rounds, stride):
+    """The rounds whose global model a trajectory keeps: 1, 1 + stride, ... and the last."""
+    return sorted({*range(1, rounds + 1, stride), rounds})
+
+
+def run_single(opts, cfg, train, test):
     """One (variant, seed) run of `cfg`; returns the output directory."""
-    stride = opts["traj_stride"] if opts["save_trajectory"] else 0
+    keep = set(_stored_rounds(cfg.rounds, opts["traj_stride"]) if opts["save_trajectory"] else ())
     net = Network(baseline_cnn(train.input_shape))
     split, state = prepare(cfg, train, net)  # rejects the config before any output
 
@@ -224,7 +226,7 @@ def run_single(opts, cfg, thresholds, train, test):
     os.makedirs(run_dir, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
 
-    stored = []  # (round, global model) every `stride` rounds and at the last
+    stored = []  # (round, global model) of each round in `keep`
     with open(os.path.join(run_dir, "metrics.csv"), "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["round", "selected_clients", "test_accuracy",
@@ -235,26 +237,23 @@ def run_single(opts, cfg, thresholds, train, test):
             writer.writerow([rec.round, ";".join(str(c) for c in rec.selected),
                              repr(rec.test_accuracy), repr(rec.test_loss), repr(rec.lr)])
             f.flush()
-            if stride and ((rec.round - 1) % stride == 0 or rec.round == cfg.rounds):
+            if rec.round in keep:
                 stored.append((rec.round, state.global_params))  # each round's new array
 
         records = run_experiment(cfg, split, state, test, net, on_round=on_round)
     # the models, proxy copy and shard rows are garbage now; free them before the PCA
     del split, state
 
-    accuracy = [r.test_accuracy for r in records]
     _write_json(os.path.join(run_dir, "summary.json"), {
         "artifact_version": __version__,
         "config": {k: opts[k] for k in DEFAULTS} | {"seed": cfg.seed},  # this run's seed
         "started": started,
         "finished": datetime.now(timezone.utc).isoformat(),
-        "rounds_to_threshold": {str(t): rounds_to_accuracy(accuracy, t) for t in thresholds},
-        "converged_accuracy": converged_accuracy(accuracy, min(opts["window"], len(accuracy))),
-        "accuracy": accuracy,
+        "accuracy": [r.test_accuracy for r in records],
         "loss": [r.test_loss for r in records],
     })
 
-    if stride:
+    if keep:
         from .analysis import pca_trajectory
 
         traj = pca_trajectory([p for _, p in stored], rounds=[rd for rd, _ in stored])
@@ -270,16 +269,13 @@ def cmd_run(args):
     _pin_malloc()  # before any data is allocated, so every block sees one setting
     try:
         opts = merge_options(args)
-        thresholds = _parse_thresholds(opts["thresholds"])
-        for key, low in (("window", 1), ("traj_stride", 1),
-                         ("limit_train", 0), ("limit_test", 0)):
+        for key, low in (("traj_stride", 1), ("limit_train", 0), ("limit_test", 0)):
             if opts[key] < low:
                 raise ConfigError(f"{key} must be >= {low}, got {opts[key]}")
         training = {f.name: opts[f.name] for f in fields(FedConfig)}
         cfgs = [FedConfig(**training | {"seed": s}) for s in _parse_seeds(opts["seed"])]
-        # run_single keeps the model of rounds 1, 1 + stride, ... and of the last
         rounds, stride = cfgs[0].rounds, opts["traj_stride"]
-        stored = len(range(1, rounds + 1, stride)) + ((rounds - 1) % stride != 0)
+        stored = len(_stored_rounds(rounds, stride))
         if opts["save_trajectory"] and stored < 3:
             raise ConfigError(f"a trajectory needs 3 stored models; {rounds} rounds at "
                               f"traj_stride {stride} store {stored}")
@@ -292,7 +288,7 @@ def cmd_run(args):
         train, test = load_dataset(opts["dataset"], opts["data_dir"], opts["limit_train"],
                                    opts["limit_test"])
         for cfg in cfgs:
-            print(f"run complete: {run_single(opts, cfg, thresholds, train, test)}")
+            print(f"run complete: {run_single(opts, cfg, train, test)}")
     except DivergenceError as exc:
         print(f"error: {exc} (partial metrics preserved)", file=sys.stderr)
         return 1
@@ -311,7 +307,8 @@ def _median_rounds(summaries, threshold):
 
 
 def _load_summary(path):
-    """A summary.json holding every key `compare` reads; ConfigError if not."""
+    """A summary.json holding every key `compare` reads and a non-empty accuracy
+    curve; ConfigError if not."""
     try:
         with open(path) as f:
             summary = json.load(f)
@@ -320,7 +317,7 @@ def _load_summary(path):
     config = summary.get("config") if isinstance(summary, dict) else None
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: not a summary with a 'config' object")
-    missing = [k for k in SUMMARY_KEYS if k not in summary]
+    missing = [k for k in ("accuracy",) if k not in summary]
     missing += [f"config.{k}" for k in ("variant", "seed") + FAMILY_KEYS + VARIANT_KEYS
                 if k not in config]
     if missing:
@@ -328,13 +325,14 @@ def _load_summary(path):
     real = (int, float)  # JSON numbers: type(), not isinstance, so that no bool passes
     wanted = {"config.variant": (config["variant"], (str,)),
               "config.seed": (config["seed"], (int,)),
-              "accuracy": (summary["accuracy"], (list,)),
-              "converged_accuracy": (summary["converged_accuracy"], real)}
+              "accuracy": (summary["accuracy"], (list,))}
     wrong = [k for k, (value, types) in wanted.items() if type(value) not in types]
     if "accuracy" not in wrong and any(type(a) not in real for a in summary["accuracy"]):
         wrong.append("accuracy")
     if wrong:
         raise ConfigError(f"{path}: wrong type of {', '.join(wrong)}")
+    if not summary["accuracy"]:
+        raise ConfigError(f"{path}: accuracy is empty")
     return summary
 
 
@@ -380,7 +378,8 @@ def cmd_compare(args):
                     str(t): _median_rounds(group, t) for t in thresholds
                 },
                 "converged_accuracy": statistics.median(
-                    s["converged_accuracy"] for s in group
+                    converged_accuracy(s["accuracy"], min(CONVERGED_WINDOW, len(s["accuracy"])))
+                    for s in group
                 ),
             }
             report["variants"][variant] = entry

@@ -1,7 +1,10 @@
 import argparse
 import ctypes
+import glob
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import fields
@@ -16,6 +19,8 @@ from fedte.orchestrator import VARIANT_KINDS, VARIANT_OPTIONS, FedConfig, _openb
 
 from conftest import cifar_bytes, gzip_damaged, save_idx, synth_dataset, write_idx_dataset
 
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 BASE_FLAGS = [
     "--clients", "4", "--ratio", "0.5", "--epochs", "1", "--batch", "32",
@@ -91,6 +96,17 @@ def test_trajectory_output(data_dir, tmp_path, capsys):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("rounds, stride, stored", [("6", "4", [1, 5, 6]),
+                                                    ("5", "2", [1, 3, 5])])
+def test_trajectory_stores_every_stride_th_round_and_the_last(data_dir, tmp_path,
+                                                              rounds, stride, stored):
+    out = tmp_path / "out"
+    assert run_cli(data_dir, out, "--variant", "fedavg", "--seed", "1", "--rounds", rounds,
+                   "--save-trajectory", "--traj-stride", stride) == 0
+    lines = (out / "fedavg_seed1" / "trajectory.csv").read_text().splitlines()[1:]
+    assert [int(line.split(",")[0]) for line in lines] == stored
+
+
 def test_config_file_and_override(data_dir, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -129,8 +145,25 @@ def _write_summary(path, variant, curve, seed=1, **config_overrides):
     payload = {
         "artifact_version": fedte.__version__, "config": config,
         "started": "2021-08-19T00:00:00+00:00", "finished": "2021-08-19T01:00:00+00:00",
-        "rounds_to_threshold": {}, "converged_accuracy": float(curve[-1]),
         "accuracy": list(curve), "loss": [0.0] * len(curve),
+    }
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+# the run-only options that earlier fedte versions echoed in `config`
+OLD_RUN_KEYS = {"thresholds": "0.5,0.8,0.9,0.95", "window": 20}
+# the statistics they stored, which compare ignores: these are not the curves'
+OLD_STATISTICS = {"rounds_to_threshold": {"0.95": 1}, "converged_accuracy": 0.25}
+
+
+def _write_stats_summary(path, variant, curve, seed=1):
+    """A summary as `fedte run` wrote it while it stored the curve's statistics."""
+    config = dict(DEFAULTS, variant=variant, seed=seed, **OLD_RUN_KEYS)
+    payload = {
+        "artifact_version": fedte.__version__, "config": config,
+        "started": "2021-08-19T00:00:00+00:00", "finished": "2021-08-19T01:00:00+00:00",
+        **OLD_STATISTICS, "accuracy": list(curve), "loss": [0.0] * len(curve),
     }
     path.write_text(json.dumps(payload))
     return str(path)
@@ -138,12 +171,11 @@ def _write_summary(path, variant, curve, seed=1, **config_overrides):
 
 def _write_old_summary(path, variant, curve, seed=1):
     """A summary as `fedte run` wrote it while the config had copies beside `config`."""
-    config = dict(DEFAULTS, variant=variant, seed=seed)
+    config = dict(DEFAULTS, variant=variant, seed=seed, **OLD_RUN_KEYS)
     payload = {
         "variant": variant, "alpha": 1.0, "beta": 0.2, "seed": seed,
         "dataset": config["dataset"],
-        "rounds_to_threshold": {}, "converged_accuracy": float(curve[-1]),
-        "accuracy": list(curve), "loss": [0.0] * len(curve),
+        **OLD_STATISTICS, "accuracy": list(curve), "loss": [0.0] * len(curve),
         "config": config,
     }
     path.write_text(json.dumps(payload))
@@ -154,15 +186,30 @@ def test_compare_reads_summaries_of_the_old_format(tmp_path):
     base_curve = [0.5] * 99 + [0.96, 0.97]
     te_curve = [0.5] * 79 + [0.96, 0.97]
     reports = []
-    for write in (_write_summary, _write_old_summary):
+    for write in (_write_summary, _write_stats_summary, _write_old_summary):
         paths = [write(tmp_path / f"{v}{seed}.json", v, curve, seed=seed)
                  for v, curve in (("fedprox", base_curve), ("fedprox-te", te_curve))
                  for seed in (1, 2)]
         assert main(["compare", *paths, "--out", str(tmp_path / "report.json")]) == 0
         reports.append(json.loads((tmp_path / "report.json").read_text()))
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
     assert reports[0]["variants"]["fedprox"]["seeds"] == [1, 2]
     assert reports[0]["reductions"]["fedprox-te_vs_fedprox@0.95"] == pytest.approx(0.2)
+    assert reports[0]["variants"]["fedprox"]["converged_accuracy"] == pytest.approx(
+        (18 * 0.5 + 0.96 + 0.97) / 20)
+
+
+def test_compare_converged_accuracy_is_the_median_of_each_curves_last_20_rounds(tmp_path):
+    # each curve's last value differs from the mean compare takes
+    curves = {1: [0.1] * 10 + [0.5] * 19 + [0.9],  # last 20: (19 * 0.5 + 0.9) / 20 = 0.52
+              2: [0.2, 0.4, 0.9],                  # shorter than 20: all of it, 0.5
+              3: [0.0] * 5 + [0.7] * 20 + [0.1]}   # last 20: (19 * 0.7 + 0.1) / 20 = 0.67
+    paths = [_write_summary(tmp_path / f"s{seed}.json", "fedprox", curve, seed=seed)
+             for seed, curve in curves.items()]
+    report = tmp_path / "report.json"
+    assert main(["compare", *paths, "--out", str(report)]) == 0
+    converged = json.loads(report.read_text())["variants"]["fedprox"]["converged_accuracy"]
+    assert converged == pytest.approx(0.52)
 
 
 def test_compare_reports_reduction(tmp_path, capsys):
@@ -223,7 +270,7 @@ def test_compare_refuses_a_repeated_run(tmp_path, capsys):
     assert main(["compare", a, c]) == 0
 
 
-@pytest.mark.parametrize("key", ["rounds", "window"])
+@pytest.mark.parametrize("key", ["rounds"])
 def test_compare_refuses_mismatched_configs(tmp_path, capsys, key):
     a = _write_summary(tmp_path / "a.json", "fedprox", [0.9])
     b = _write_summary(tmp_path / "b.json", "fedprox-te", [0.9], **{key: 999})
@@ -301,7 +348,7 @@ def test_run_empty_seed_list_is_an_error(data_dir, tmp_path, capsys):
     (None, ["--config", "missing.cfg"], "missing.cfg"),
     ("roundz = 2\n", ["--config", "run.cfg"], "roundz"),
     ("rounds = abc\n", ["--config", "run.cfg"], "'abc'"),
-    (None, ["--window", "0"], "window"),
+    ("window = 20\n", ["--config", "run.cfg"], "unknown key 'window'"),
     (None, ["--save-trajectory", "--traj-stride", "0"], "traj_stride"),
     # rejected by FedConfig (gamma, the proxy fraction) or by the data split,
     # which runs before the run directory is made
@@ -321,13 +368,12 @@ def test_run_empty_seed_list_is_an_error(data_dir, tmp_path, capsys):
     (None, ["--save-trajectory"], "trajectory needs 3"),
     (None, ["--save-trajectory", "--rounds", "3", "--traj-stride", "2"],
      "trajectory needs 3"),
-    (None, ["--thresholds", ""], "no threshold given"),
-], ids=["missing-config", "unknown-key", "non-numeric-value", "window-0",
+], ids=["missing-config", "unknown-key", "non-numeric-value", "window-key",
         "traj-stride-0", "gamma-0", "clients-above-examples", "proxy-fraction-0",
         "proxy-below-classes", "fisher-samples-negative", "fisher-samples-0",
         "seed-repeated", "seed-negative", "seed-list-negative", "gamma-nan",
         "gamma-inf", "alpha-nan", "lr-inf", "trajectory-of-2-rounds",
-        "trajectory-of-2-stored-models", "thresholds-empty"])
+        "trajectory-of-2-stored-models"])
 def test_run_bad_option_fails_before_training(data_dir, tmp_path, monkeypatch,
                                               capsys, config_text, flags, named):
     monkeypatch.chdir(tmp_path)
@@ -374,7 +420,6 @@ def test_run_then_compare_round_trip(data_dir, tmp_path):
             assert {p.name for p in run_dir.iterdir()} == outputs
             summary = json.loads((run_dir / "summary.json").read_text())
             assert set(summary) == {"artifact_version", "config", "started", "finished",
-                                    "rounds_to_threshold", "converged_accuracy",
                                     "accuracy", "loss"}
             assert (summary["config"]["variant"], summary["config"]["seed"]) == (variant, seed)
     report = tmp_path / "report.json"
@@ -395,7 +440,7 @@ def test_compare_missing_summary_is_an_error(tmp_path, capsys):
 
 
 
-# a summary key and a value of the wrong JSON type for it
+# a summary key and a value compare cannot read: of the wrong JSON type, or empty
 MISTYPED = {
     "variant-list": ("config.variant", ["fedprox"]),
     "variant-number": ("config.variant", 1),
@@ -406,8 +451,7 @@ MISTYPED = {
     "accuracy-bools": ("accuracy", [0.9, True]),
     "accuracy-number": ("accuracy", 0.9),
     "accuracy-object": ("accuracy", {}),
-    "converged-string": ("converged_accuracy", "x"),
-    "converged-null": ("converged_accuracy", None),
+    "accuracy-empty": ("accuracy", []),
 }
 
 
@@ -633,6 +677,31 @@ def test_every_fed_config_field_is_a_run_flag_with_its_default():
         else:
             assert (DEFAULTS[f.name], actions[f.name].type) == (f.default, f.type)
     FedConfig()  # the defaults are a run that passes every check
+
+
+def readme_commands():
+    """The arguments of each `fedte run` / `fedte compare` in README's sh blocks."""
+    with open(os.path.join(ROOT, "README.md")) as f:
+        blocks = re.findall(r"^```sh\n(.*?)^```", f.read(), re.M | re.S)
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    return [words[1:] for words in map(shlex.split, lines)
+            if words[:1] == ["fedte"] and words[1:2] in (["run"], ["compare"])]
+
+
+def test_every_readme_command_parses():
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {"run", "compare"}
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README's `fedte {shlex.join(argv)}` does not parse")
+
+
+@pytest.mark.parametrize("name", sorted(os.path.basename(path) for path in
+                                  glob.glob(os.path.join(ROOT, "configs", "*.cfg"))))
+def test_every_shipped_config_file_parses(name):
+    assert parse_config_file(os.path.join(ROOT, "configs", name))
 
 
 def test_flag_beats_config_for_every_type(tmp_path):
