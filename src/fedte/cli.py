@@ -178,27 +178,19 @@ def merge_options(args):
     return merged
 
 
-def _parse_seeds(raw):
+def _parse_list(raw, name, convert):
+    """The comma-separated values of `raw`, each through `convert`; ConfigError if
+    there is none, one does not convert or one repeats."""
     try:
-        seeds = [int(s) for s in str(raw).split(",") if s.strip()]
+        values = [convert(v) for v in str(raw).split(",") if v.strip()]
     except ValueError:
-        raise ConfigError(f"seeds must be integers, got {raw!r}") from None
-    if not seeds:
-        raise ConfigError("no seed given")
-    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+        raise ConfigError(f"{name} list {raw!r} holds a non-{convert.__name__} value") from None
+    if not values:
+        raise ConfigError(f"no {name} given")
+    repeated = sorted({v for v in values if values.count(v) > 1})
     if repeated:
-        raise ConfigError(f"seed list {raw!r} repeats {repeated}")
-    return seeds
-
-
-def _parse_thresholds(raw):
-    try:
-        thresholds = [float(t) for t in str(raw).split(",") if t.strip()]
-    except ValueError:
-        raise ConfigError(f"thresholds must be numbers, got {raw!r}") from None
-    if not thresholds:
-        raise ConfigError("no threshold given")
-    return [check_threshold(t) for t in thresholds]
+        raise ConfigError(f"{name} list {raw!r} repeats {repeated}")
+    return values
 
 
 def _write_json(path, payload):
@@ -273,7 +265,7 @@ def cmd_run(args):
             if opts[key] < low:
                 raise ConfigError(f"{key} must be >= {low}, got {opts[key]}")
         training = {f.name: opts[f.name] for f in fields(FedConfig)}
-        cfgs = [FedConfig(**training | {"seed": s}) for s in _parse_seeds(opts["seed"])]
+        cfgs = [FedConfig(**training | {"seed": s}) for s in _parse_list(opts["seed"], "seed", int)]
         rounds, stride = cfgs[0].rounds, opts["traj_stride"]
         stored = len(_stored_rounds(rounds, stride))
         if opts["save_trajectory"] and stored < 3:
@@ -298,9 +290,9 @@ def cmd_run(args):
     return 0
 
 
-def _median_rounds(summaries, threshold):
-    """Median rounds-to-threshold over seeds; None if any seed never reaches."""
-    rounds = [rounds_to_accuracy(s["accuracy"], threshold) for s in summaries]
+def _median_rounds(curves, threshold):
+    """Median rounds-to-threshold over accuracy curves; None if any never reaches."""
+    rounds = [rounds_to_accuracy(curve, threshold) for curve in curves]
     if any(r is None for r in rounds):
         return None
     return statistics.median(rounds)
@@ -346,9 +338,49 @@ def _check_agreement(pairs, keys):
             raise ConfigError(f"{path} is not config-compatible with {path0}: {diff}")
 
 
+def _compare_report(groups, thresholds):
+    """compare's report of the (path, summary) pairs of each variant: per variant
+    its seeds and the medians over them, and per -te variant with its base in
+    `groups` the relative round reduction at each threshold (None if unreached)."""
+    variants = {}
+    for variant, group in sorted(groups.items()):
+        curves = [s["accuracy"] for _, s in group]
+        variants[variant] = {
+            "seeds": [s["config"]["seed"] for _, s in group],
+            "rounds_to_threshold": {str(t): _median_rounds(curves, t) for t in thresholds},
+            "converged_accuracy": statistics.median(
+                converged_accuracy(c, min(CONVERGED_WINDOW, len(c))) for c in curves),
+        }
+    reductions = {}
+    for te_variant in groups:
+        base = te_variant.removesuffix("-te")
+        if base == te_variant or base not in groups:
+            continue
+        for t in thresholds:
+            base_r, te_r = (variants[v]["rounds_to_threshold"][str(t)] for v in (base, te_variant))
+            reductions[f"{te_variant}_vs_{base}@{t:g}"] = (
+                None if base_r is None or te_r is None else (base_r - te_r) / base_r)
+    return {"thresholds": thresholds, "variants": variants, "reductions": reductions}
+
+
+def _print_report(report):
+    """The table of `report`'s medians per variant, then one line per reduction."""
+    thresholds = report["thresholds"]
+    print(f"{'variant':<12} {'seeds':>5} " +
+          " ".join(f"r@{t:g}".rjust(8) for t in thresholds) + "  conv_acc")
+    for variant, entry in report["variants"].items():
+        cells = " ".join(str(entry["rounds_to_threshold"][str(t)] or "-").rjust(8)
+                         for t in thresholds)
+        print(f"{variant:<12} {len(entry['seeds']):>5} {cells}  "
+              f"{entry['converged_accuracy']:.4f}")
+    for key, reduction in report["reductions"].items():
+        print(f"{key}: not reached" if reduction is None
+              else f"{key}: round reduction {100 * reduction:.1f}%")
+
+
 def cmd_compare(args):
     try:
-        thresholds = _parse_thresholds(args.thresholds)
+        thresholds = [check_threshold(t) for t in _parse_list(args.thresholds, "threshold", float)]
         summaries = [_load_summary(path) for path in args.summaries]
         if len(summaries) < 2:
             raise ConfigError("need at least two summaries")
@@ -365,51 +397,11 @@ def cmd_compare(args):
                                            for variant, group in groups.items()]
         for group, keys in checks:
             _check_agreement(group, keys)
-        by_variant = {v: [s for _, s in group] for v, group in groups.items()}
 
-        report = {"thresholds": thresholds, "variants": {}, "reductions": {}}
-        print(f"{'variant':<12} {'seeds':>5} " +
-              " ".join(f"r@{t:g}".rjust(8) for t in thresholds) +
-              "  conv_acc")
-        for variant, group in sorted(by_variant.items()):
-            entry = {
-                "seeds": [s["config"]["seed"] for s in group],
-                "rounds_to_threshold": {
-                    str(t): _median_rounds(group, t) for t in thresholds
-                },
-                "converged_accuracy": statistics.median(
-                    converged_accuracy(s["accuracy"], min(CONVERGED_WINDOW, len(s["accuracy"])))
-                    for s in group
-                ),
-            }
-            report["variants"][variant] = entry
-            cells = " ".join(
-                str(entry["rounds_to_threshold"][str(t)] or "-").rjust(8)
-                for t in thresholds
-            )
-            print(f"{variant:<12} {len(group):>5} {cells}  "
-                  f"{entry['converged_accuracy']:.4f}")
-
-        for te_variant in by_variant:
-            if not te_variant.endswith("-te"):
-                continue
-            base = te_variant[:-3]
-            if base not in by_variant:
-                continue
-            for t in thresholds:
-                base_r = report["variants"][base]["rounds_to_threshold"][str(t)]
-                te_r = report["variants"][te_variant]["rounds_to_threshold"][str(t)]
-                key = f"{te_variant}_vs_{base}@{t:g}"
-                if base_r is None or te_r is None:
-                    report["reductions"][key] = None
-                    print(f"{key}: not reached")
-                else:
-                    reduction = (base_r - te_r) / base_r
-                    report["reductions"][key] = reduction
-                    print(f"{key}: round reduction {100 * reduction:.1f}%")
-
+        report = _compare_report(groups, thresholds)
         if args.out:
             _write_json(args.out, report)
+        _print_report(report)  # after the write, so a failed compare prints nothing
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

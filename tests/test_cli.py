@@ -252,8 +252,33 @@ def test_compare_unwritable_report_is_an_error(tmp_path, capsys):
     b = _write_summary(tmp_path / "b.json", "fedprox-te", [0.5, 0.96])
     (tmp_path / "file").write_text("")
     assert main(["compare", a, b, "--out", str(tmp_path / "file" / "r.json")]) == 2
-    err = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
     assert len(err) == 1 and err[0].startswith("error: ") and "file" in err[0]
+
+
+def test_compare_prints_the_report(tmp_path, capsys):
+    # fedprox reaches 0.5 at rounds 10 and 12 and 0.95 at 90 and 95; fedprox-te
+    # reaches 0.5 at rounds 8 and 9 and 0.95 in seed 2 only. Converged accuracy
+    # is the median over seeds of each curve's last-20-round mean: (0.798 +
+    # 0.711) / 2 for fedprox, (0.6 + 0.798) / 2 for fedprox-te
+    curves = {("fedprox", 1): [0.1] * 9 + [0.6] * 80 + [0.96] * 11,
+              ("fedprox", 2): [0.1] * 11 + [0.6] * 83 + [0.97] * 6,
+              ("fedprox-te", 1): [0.1] * 7 + [0.6] * 93,
+              ("fedprox-te", 2): [0.1] * 8 + [0.7] * 85 + [0.98] * 7}
+    paths = [_write_summary(tmp_path / f"{v}{seed}.json", v, curve, seed=seed)
+             for (v, seed), curve in curves.items()]
+    assert main(["compare", *paths, "--thresholds", "0.5,0.95"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        "variant      seeds    r@0.5   r@0.95  conv_acc",
+        "fedprox          2     11.0     92.5  0.7545",
+        "fedprox-te       2      8.5        -  0.6990",
+        "fedprox-te_vs_fedprox@0.5: round reduction 22.7%",
+        "fedprox-te_vs_fedprox@0.95: not reached",
+    ]
 
 
 def test_compare_refuses_a_repeated_run(tmp_path, capsys):
@@ -405,6 +430,21 @@ def test_compare_empty_threshold_list_is_an_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: no threshold given\n"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("thresholds", ["0.95,0.95", "0.5,0.95,.95"])
+def test_compare_repeated_threshold_is_an_error(tmp_path, capsys, thresholds):
+    # a repeated threshold would print a column and a reduction twice, but its
+    # rounds_to_threshold key once
+    a = _write_summary(tmp_path / "a.json", "fedprox", [0.9])
+    b = _write_summary(tmp_path / "b.json", "fedprox-te", [0.9])
+    report = tmp_path / "report.json"
+    assert main(["compare", a, b, "--thresholds", thresholds, "--out", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "repeats [0.95]" in captured.err
+    assert len(captured.err.splitlines()) == 1
     assert not report.exists()
 
 
