@@ -358,7 +358,7 @@ def _compare_report(groups, thresholds):
             continue
         for t in thresholds:
             base_r, te_r = (variants[v]["rounds_to_threshold"][str(t)] for v in (base, te_variant))
-            reductions[f"{te_variant}_vs_{base}@{t:g}"] = (
+            reductions[f"{te_variant}_vs_{base}@{t}"] = (
                 None if base_r is None or te_r is None else (base_r - te_r) / base_r)
     return {"thresholds": thresholds, "variants": variants, "reductions": reductions}
 
@@ -367,7 +367,7 @@ def _print_report(report):
     """The table of `report`'s medians per variant, then one line per reduction."""
     thresholds = report["thresholds"]
     print(f"{'variant':<12} {'seeds':>5} " +
-          " ".join(f"r@{t:g}".rjust(8) for t in thresholds) + "  conv_acc")
+          " ".join(f"r@{t}".rjust(8) for t in thresholds) + "  conv_acc")
     for variant, entry in report["variants"].items():
         cells = " ".join(str(entry["rounds_to_threshold"][str(t)] or "-").rjust(8)
                          for t in thresholds)

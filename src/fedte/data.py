@@ -131,12 +131,8 @@ def dirichlet_partition(labels, clients, gamma, seed):
     largest shard into any shard that came out empty.
     """
     n, k = len(labels), clients
-    if k < 1:
-        raise ConfigError(f"client count must be >= 1, got {k}")
     if k > n:
         raise ConfigError(f"more clients ({k}) than examples ({n})")
-    if not 0 < gamma < np.inf:
-        raise ConfigError(f"concentration must be in (0, inf), got {gamma}")
 
     counts = np.bincount(labels)
     present = np.flatnonzero(counts)
@@ -169,8 +165,6 @@ def split_proxy(labels, fraction, seed):
     """Stratified split of the positions of `labels` into sorted index arrays
     (train, proxy): a proxy of round(fraction * n) rows with >= 1 proxy and >= 1
     training example per class, or ConfigError where no such proxy exists."""
-    if not (0 < fraction < 1):
-        raise ConfigError(f"proxy fraction must be in (0, 1), got {fraction}")
     n = len(labels)
     counts = np.bincount(labels)
     present = np.flatnonzero(counts)
@@ -211,8 +205,6 @@ def split_proxy(labels, fraction, seed):
 
 def iterate_batches(ds, rows, batch_size, seed):
     """One shuffled epoch over the rows `rows` of `ds`, final batch possibly short."""
-    if batch_size < 1:
-        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
     order = np.random.default_rng(seed).permutation(rows)
     for start in range(0, order.size, batch_size):
         chunk = order[start:start + batch_size]

@@ -173,8 +173,6 @@ def lr_at_round(round_idx, base, decay):
 
 
 def sgd_step(params, grad, lr):
-    if params.shape != grad.shape:
-        raise ConfigError(f"shape mismatch {params.shape} vs {grad.shape}")
     return params - params.dtype.type(lr) * grad
 
 
@@ -243,9 +241,9 @@ class Network:
             a = self._layers(arrays, a, 0, head)
         return self._layers(arrays, a, head, len(self.spec.layers))
 
-    def _forward(self, params, inputs, keep):
+    def _forward(self, params, inputs):
         arrays, a = self._input(params, inputs)
-        caches = [] if keep else None
+        caches = []
         return self._layers(arrays, a, 0, len(self.spec.layers), caches), caches
 
     def _input(self, params, inputs):
@@ -273,7 +271,7 @@ class Network:
 
     def loss_and_grad(self, params, batch, penalty=None):
         """Mean cross-entropy (plus optional penalty) and its flat gradient."""
-        logits, caches = self._forward(params, batch.inputs, keep=True)
+        logits, caches = self._forward(params, batch.inputs)
         logp, d = _nll_and_grad(logits, np.asarray(batch.labels))
         nb = logits.shape[0]
         loss = float(-logp.mean())
@@ -293,7 +291,7 @@ class Network:
         Fisher diagonal of the batch. One forward and one backward pass for
         the whole batch, through the same layer backward as `loss_and_grad`.
         """
-        logits, caches = self._forward(params, batch.inputs, keep=True)
+        logits, caches = self._forward(params, batch.inputs)
         _, d = _nll_and_grad(logits, np.asarray(batch.labels))
         grads = self._backward(d, caches, square=True)
         return np.concatenate([g.ravel() for g in grads])

@@ -126,8 +126,6 @@ def _selection_size(clients, ratio):
 
 def select_clients(clients, ratio, round_idx, seed):
     """Uniform sample of max(floor(ratio*clients), 1) ids, without replacement."""
-    if clients < 1 or not (0 < ratio <= 1):
-        raise ConfigError(f"invalid selection parameters K={clients} C={ratio}")
     m = _selection_size(clients, ratio)
     rng = np.random.default_rng((seed, _SEED_SELECT, round_idx))
     return sorted(int(c) for c in rng.choice(clients, size=m, replace=False))
@@ -135,10 +133,6 @@ def select_clients(clients, ratio, round_idx, seed):
 
 def aggregate(models, counts):
     """Data-count-weighted average, accumulated in float64."""
-    if not models:
-        raise ConfigError("nothing to aggregate")
-    if len(models) != len(counts) or any(c <= 0 for c in counts):
-        raise ConfigError("counts must be positive and match models")
     acc = np.zeros(models[0].shape, dtype=np.float64)
     for m, c in zip(models, counts):
         acc += float(c) * m.astype(np.float64)
@@ -149,8 +143,6 @@ def local_train(net, global_params, ds, rows, penalty, epochs, batch_size, lr,
                 seed, round_idx=None, client_id=None):
     """E epochs of mini-batch SGD on the rows `rows` of `ds`, from the global model,
     which it leaves unchanged. Returns (trained parameters, number of rows)."""
-    if lr <= 0:
-        raise ConfigError(f"learning rate must be > 0, got {lr}")
     params = global_params  # sgd_step returns a new array
     step = 0
     for epoch in range(epochs):

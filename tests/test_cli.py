@@ -281,6 +281,26 @@ def test_compare_prints_the_report(tmp_path, capsys):
     ]
 
 
+def test_compare_spells_each_threshold_as_given(tmp_path, capsys):
+    # two thresholds equal to six significant digits: each keeps its own column,
+    # reduction line and report keys
+    curves = {"fedprox": [0.1] * 3 + [0.12345675] * 2 + [0.9] * 5,
+              "fedprox-te": [0.1] + [0.12345675] * 2 + [0.9] * 7}
+    paths = [_write_summary(tmp_path / f"{v}.json", v, curve) for v, curve in curves.items()]
+    out = tmp_path / "report.json"
+    assert main(["compare", *paths, "--thresholds", "0.1234567,0.1234568",
+                 "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[2:4] == ["r@0.1234567", "r@0.1234568"]
+    assert lines[3:] == ["fedprox-te_vs_fedprox@0.1234567: round reduction 50.0%",
+                         "fedprox-te_vs_fedprox@0.1234568: round reduction 33.3%"]
+    report = json.loads(out.read_text())
+    assert list(report["reductions"]) == ["fedprox-te_vs_fedprox@0.1234567",
+                                          "fedprox-te_vs_fedprox@0.1234568"]
+    assert report["variants"]["fedprox"]["rounds_to_threshold"] == {
+        "0.1234567": 4, "0.1234568": 6}
+
+
 def test_compare_refuses_a_repeated_run(tmp_path, capsys):
     # a seed counted twice would weigh one run double in every median
     a = _write_summary(tmp_path / "a.json", "fedavg", [0.9], seed=1)
@@ -375,9 +395,14 @@ def test_run_empty_seed_list_is_an_error(data_dir, tmp_path, capsys):
     ("rounds = abc\n", ["--config", "run.cfg"], "'abc'"),
     ("window = 20\n", ["--config", "run.cfg"], "unknown key 'window'"),
     (None, ["--save-trajectory", "--traj-stride", "0"], "traj_stride"),
-    # rejected by FedConfig (gamma, the proxy fraction) or by the data split,
-    # which runs before the run directory is made
+    # rejected by FedConfig, the one check of each training option's range, or
+    # by the data split, which runs before the run directory is made
     (None, ["--gamma", "0"], "concentration"),
+    (None, ["--clients", "0"], "clients must be >= 1"),
+    (None, ["--ratio", "0"], "selection ratio"),
+    (None, ["--ratio", "1.5"], "selection ratio"),
+    (None, ["--batch", "0"], "batch must be >= 1"),
+    (None, ["--lr", "0"], "lr schedule"),
     (None, ["--clients", "5000"], "more clients"),
     (None, ["--proxy-fraction", "0"], "proxy fraction"),
     (None, ["--proxy-fraction", "0.01", "--limit-train", "200"], "proxy fraction"),
@@ -394,7 +419,8 @@ def test_run_empty_seed_list_is_an_error(data_dir, tmp_path, capsys):
     (None, ["--save-trajectory", "--rounds", "3", "--traj-stride", "2"],
      "trajectory needs 3"),
 ], ids=["missing-config", "unknown-key", "non-numeric-value", "window-key",
-        "traj-stride-0", "gamma-0", "clients-above-examples", "proxy-fraction-0",
+        "traj-stride-0", "gamma-0", "clients-0", "ratio-0", "ratio-above-1", "batch-0",
+        "lr-0", "clients-above-examples", "proxy-fraction-0",
         "proxy-below-classes", "fisher-samples-negative", "fisher-samples-0",
         "seed-repeated", "seed-negative", "seed-list-negative", "gamma-nan",
         "gamma-inf", "alpha-nan", "lr-inf", "trajectory-of-2-rounds",

@@ -248,7 +248,7 @@ def test_conv_and_pool_outputs_are_channels_last(monkeypatch):
         outputs.clear()
         net = Network(baseline_cnn(shape))
         x = np.random.default_rng(7).random((4, *shape)).astype(np.float32)
-        net._forward(net.init_params(7), x, keep=True)
+        net._forward(net.init_params(7), x)
         assert len(outputs) == 4
         for out in outputs:
             assert out.transpose(0, 2, 3, 1).flags.c_contiguous
@@ -262,7 +262,7 @@ def test_chunked_forward_equals_whole_batch_forward(monkeypatch, shape, nb):
     net = Network(baseline_cnn(shape))
     params = net.init_params(nb)
     x = np.random.default_rng(nb).random((nb, *shape)).astype(np.float32)
-    whole, _ = net._forward(params, x, keep=False)
+    whole = net._forward(params, x)[0]
     seen = []  # (layer kind, batch size) of every layer call
     for cls in (Conv, Pool, Dense):
         def recording(self, a, *args, _forward=cls.forward, _cls=cls):
@@ -289,7 +289,7 @@ def test_forward_of_a_dense_first_network_does_not_chunk(monkeypatch):
     monkeypatch.setattr(Dense, "forward", recording)
     logits = net.forward(params, x)
     assert inputs[0] is x  # no slice and concatenate copy of the batch
-    assert np.array_equal(logits, net._forward(params, x, keep=False)[0])
+    assert np.array_equal(logits, net._forward(params, x)[0])
 
 
 def test_confident_correct_prediction_near_zero_loss():
@@ -349,11 +349,6 @@ def test_sgd_step_arithmetic():
     assert np.array_equal(sgd_step(p, g, 0.5), np.array([0.5, 0.0], dtype=np.float32))
     assert np.array_equal(sgd_step(p, g, 0.0), p)
     assert np.array_equal(sgd_step(p, np.zeros(2, dtype=np.float32), 0.3), p)
-
-
-def test_sgd_step_length_mismatch():
-    with pytest.raises(ConfigError):
-        sgd_step(np.zeros(3, dtype=np.float32), np.zeros(2, dtype=np.float32), 0.1)
 
 
 def test_lr_schedule():
