@@ -21,7 +21,6 @@ def check_threshold(threshold):
 
 def rounds_to_accuracy(accuracy, threshold):
     """1-based round of the first accuracy reaching the threshold, or None."""
-    check_threshold(threshold)
     for i, acc in enumerate(accuracy, start=1):
         if acc >= threshold:
             return i
@@ -29,11 +28,8 @@ def rounds_to_accuracy(accuracy, threshold):
 
 
 def converged_accuracy(accuracy, window):
-    """Mean of the final `window` entries of a per-round accuracy curve."""
-    if window < 1:
-        raise ConfigError(f"window must be >= 1, got {window}")
-    if window > len(accuracy):
-        raise ConfigError(f"window {window} exceeds {len(accuracy)} rounds")
+    """Mean of the final `window` entries, 1 <= window <= len(accuracy), of a
+    per-round accuracy curve."""
     return float(np.mean(accuracy[-window:]))
 
 
@@ -45,19 +41,16 @@ class Trajectory2D:
 
 
 def pca_trajectory(models, rounds=None):
-    """Project a model history onto its top-2 principal directions.
+    """Project a model history onto its top-2 principal directions; `rounds`
+    labels the models, one round each (1, 2, ... if None).
 
     Component signs are fixed by making the first nonzero loading positive.
     Degenerate directions (zero variance) yield zero components/projections.
     """
     xc = np.array(models, dtype=np.float64)  # one (T, P) copy, centered in place
     t, p = xc.shape
-    if t < 3:
-        raise ConfigError(f"need at least 3 models for a trajectory, got {t}")
     if rounds is None:
         rounds = list(range(1, t + 1))
-    if len(rounds) != t:
-        raise ConfigError("rounds list must match number of models")
 
     xc -= xc.mean(axis=0)
     gram = xc @ xc.T

@@ -233,12 +233,10 @@ class Network:
         the logits, are bitwise those of one pass over the batch.
         """
         arrays, a = self._input(params, inputs)
-        head, c = self._head, CHUNK
-        if head and len(a) > c:
-            a = np.concatenate([self._layers(arrays, a[i:i + c], 0, head)
-                                for i in range(0, len(a), c)])
-        else:
-            a = self._layers(arrays, a, 0, head)
+        head = self._head
+        if head:  # a dense-first network takes its batch whole, with no copy
+            a = np.concatenate([self._layers(arrays, a[i:i + CHUNK], 0, head)
+                                for i in range(0, len(a), CHUNK)])
         return self._layers(arrays, a, head, len(self.spec.layers))
 
     def _forward(self, params, inputs):

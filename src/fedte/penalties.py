@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
 from .nn import CHUNK, Batch
 
 
@@ -28,15 +27,9 @@ from .nn import CHUNK, Batch
 class FisherDiag:
     """alpha * sum_i f_i (w_i - target_i)^2; `fisher=None` weighs every i by 1."""
 
-    alpha: float
+    alpha: float  # >= 0, as FedConfig checks
     target: np.ndarray
     fisher: np.ndarray | None = None  # nonnegative, same length as target
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ConfigError(f"penalty weight must be >= 0, got {self.alpha}")
-        if self.fisher is not None and self.fisher.shape != self.target.shape:
-            raise ConfigError("fisher diagonal and target must have equal length")
 
     def _weighted(self, diff):
         return diff if self.fisher is None else self.fisher * diff
@@ -63,9 +56,7 @@ def fisher_diag(net, params, ds, max_samples=1024, seed=0, map=map):
     chunks; any map that returns their results in order, such as the run's
     thread pool, gives the same bits as the builtin.
     """
-    n = len(ds)
-    if n == 0:
-        raise ConfigError("fisher estimation needs a non-empty dataset")
+    n = len(ds)  # >= 1: split_proxy keeps an example of every class
     if n > max_samples:
         idx = np.random.default_rng(seed).choice(n, size=max_samples, replace=False)
         idx = np.sort(idx)

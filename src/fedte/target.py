@@ -8,14 +8,10 @@ model", which is what the plain penalty algorithms use.
 
 import numpy as np
 
-from .errors import ConfigError
-
 
 class TargetTracker:
     def __init__(self, beta):
-        if not (0 <= beta < 1):
-            raise ConfigError(f"momentum must be in [0, 1), got {beta}")
-        self.beta = beta
+        self.beta = beta  # in [0, 1), as FedConfig checks
         self.round = 0
         self._ensemble = None  # float64 accumulator
 
@@ -24,8 +20,6 @@ class TargetTracker:
         g = np.asarray(global_params)
         if self._ensemble is None:
             self._ensemble = np.zeros(g.shape, dtype=np.float64)
-        elif self._ensemble.shape != g.shape:
-            raise ConfigError("global model length changed between rounds")
         self.round += 1
         self._ensemble = (1.0 - self.beta) * g.astype(np.float64) + self.beta * self._ensemble
         corrected = self._ensemble / (1.0 - self.beta ** self.round)

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -414,6 +415,9 @@ def test_run_empty_seed_list_is_an_error(data_dir, tmp_path, capsys):
     (None, ["--gamma", "nan"], "concentration"),
     (None, ["--gamma", "inf"], "concentration"),
     (None, ["--alpha", "nan"], "alpha"),
+    (None, ["--variant", "fedprox", "--alpha", "-0.1"], "alpha must be finite and >= 0"),
+    (None, ["--variant", "fedprox-te", "--beta", "1"], "beta must be in [0, 1)"),
+    (None, ["--variant", "fedcl-te", "--beta", "-0.1"], "beta must be in [0, 1)"),
     (None, ["--lr", "inf"], "lr schedule"),
     (None, ["--save-trajectory"], "trajectory needs 3"),
     (None, ["--save-trajectory", "--rounds", "3", "--traj-stride", "2"],
@@ -423,8 +427,8 @@ def test_run_empty_seed_list_is_an_error(data_dir, tmp_path, capsys):
         "lr-0", "clients-above-examples", "proxy-fraction-0",
         "proxy-below-classes", "fisher-samples-negative", "fisher-samples-0",
         "seed-repeated", "seed-negative", "seed-list-negative", "gamma-nan",
-        "gamma-inf", "alpha-nan", "lr-inf", "trajectory-of-2-rounds",
-        "trajectory-of-2-stored-models"])
+        "gamma-inf", "alpha-nan", "alpha-negative", "beta-1", "beta-negative", "lr-inf",
+        "trajectory-of-2-rounds", "trajectory-of-2-stored-models"])
 def test_run_bad_option_fails_before_training(data_dir, tmp_path, monkeypatch,
                                               capsys, config_text, flags, named):
     monkeypatch.chdir(tmp_path)
@@ -446,6 +450,20 @@ def test_compare_rejects_threshold_before_any_output(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("threshold", ["0", "1", "-0.5", "nan"])
+def test_compare_refuses_a_threshold_outside_0_1(tmp_path, capsys, threshold):
+    # the one check of a threshold's range: rounds_to_accuracy takes it as given
+    a = _write_summary(tmp_path / "a.json", "fedprox", [0.9])
+    b = _write_summary(tmp_path / "b.json", "fedprox-te", [0.9])
+    report = tmp_path / "report.json"
+    assert main(["compare", a, b, "--thresholds", f"0.5,{threshold}",
+                 "--out", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: threshold must be in (0, 1), got {float(threshold)}\n"
+    assert not report.exists()
 
 
 def test_compare_empty_threshold_list_is_an_error(tmp_path, capsys):
@@ -869,6 +887,15 @@ def test_importing_fedte_calls_no_library():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_pyproject_takes_its_version_from_the_package():
+    # summary.json's artifact_version and the installed metadata share one source
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # setuptools' beta and deprecation notices
+        pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+        config = pyprojecttoml.read_configuration(os.path.join(ROOT, "pyproject.toml"))
+    assert config["project"]["version"] == fedte.__version__
 
 
 def test_run_into_an_existing_file_is_an_error(data_dir, tmp_path, capsys):

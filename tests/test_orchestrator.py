@@ -65,7 +65,7 @@ def test_select_clients_deterministic_and_valid():
     assert a == b
     assert len(set(a)) == len(a)
     assert all(0 <= c < 10 for c in a)
-    assert select_clients(10, 0.3, 5, 123) != a or True  # different round may differ
+    assert select_clients(10, 0.3, 5, 123) != a  # rounds 4 and 5 draw apart at seed 123
 
 
 def test_variant_validation():
@@ -241,12 +241,6 @@ def test_variants_share_client_selection():
     a, _ = run_fed(tiny_cfg(make_variant("fedavg")), train, test, net)
     b, _ = run_fed(tiny_cfg(make_variant("fedprox", alpha=1.0)), train, test, net)
     assert [r.selected for r in a] == [r.selected for r in b]
-
-
-def test_evaluate_empty_dataset_raises():
-    net = Network(tiny_spec())
-    with pytest.raises(ConfigError):
-        evaluate(net, net.init_params(0), synth_dataset(0, 0))
 
 
 def test_prepare_shares_the_callers_training_set():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fedte.data import Dataset
-from fedte.errors import ConfigError
 from fedte.nn import Batch, Dense, ModelSpec, Network, baseline_cnn
 from fedte.orchestrator import _map_in_order
 from fedte.penalties import FisherDiag, Prox, fisher_diag
@@ -68,14 +67,6 @@ def test_fisher_all_ones_reduces_to_prox():
     ones = np.ones(20, dtype=np.float32)
     assert FisherDiag(0.7, t, ones).value(w) == Prox(0.7, t).value(w)
     assert np.array_equal(FisherDiag(0.7, t, ones).grad(w), Prox(0.7, t).grad(w))
-
-
-def test_negative_alpha_rejected():
-    t = np.zeros(3, dtype=np.float32)
-    with pytest.raises(ConfigError):
-        Prox(-0.1, t)
-    with pytest.raises(ConfigError):
-        FisherDiag(-0.1, t, np.ones(3, dtype=np.float32))
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from fedte.errors import ConfigError
 from fedte.target import TargetTracker
 
 from conftest import ensemble_target, ensemble_weights
@@ -28,13 +27,6 @@ def test_worked_example_beta_02():
     # ensemble = 0.8*2 + 0.2*0.8 = 1.76; corrected = 1.76 / 0.96
     assert t[0] == pytest.approx(1.76 / 0.96, rel=1e-9)
     assert t[0] == pytest.approx(1.83333333, rel=1e-6)
-
-
-def test_invalid_momentum():
-    with pytest.raises(ConfigError):
-        TargetTracker(1.0)
-    with pytest.raises(ConfigError):
-        TargetTracker(-0.1)
 
 
 def test_round_counter_strictly_increases():
