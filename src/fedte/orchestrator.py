@@ -5,16 +5,16 @@ derived from (seed, purpose-code, ...) tuples so that paired runs of different
 algorithm variants share client selections, partitions and batch orders.
 
 With numpy's OpenBLAS set to one thread per call, each phase of a round runs
-its independent jobs on up to one thread per usable CPU, the calling thread and
-a pool opened for the run: the Fisher's 64-example chunks, the selected clients
-and the evaluation's 256-image batches. Results are combined in a fixed order
-(chunk, selection, batch), so the thread count changes no result.
+its independent jobs on a pool opened for the run, up to one thread per usable
+CPU: the Fisher's 64-example chunks, the selected clients and the evaluation's
+256-image batches. Results are combined in a fixed order (chunk, selection,
+batch), so the thread count changes no result.
 """
 
 import ctypes
 import functools
 import os
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -219,51 +219,6 @@ def _openblas():
     return None
 
 
-def _map_in_order(pool, fn, items):
-    """map(fn, items), with `pool` running items next to this thread.
-
-    Every item goes to the pool. While the next result in item order is not
-    ready, this thread runs the next item that no pool thread has started, so
-    few results wait to be read. Results, and the first error, come in item
-    order. `pool=None` or a single item runs here, one item after another.
-
-    This thread works rather than waits, so the pool needs one thread fewer
-    than `Executor.map` would, and each pool thread's malloc arena adds to
-    the peak RSS: on a 2-vCPU VM, `Executor.map` on two pool threads against
-    this map on one raised a fedprox-te run's peak from 148 to 172 MB (MNIST
-    shape, 500 test images), with no faster rounds.
-    """
-    items = list(items)
-    if pool is None or len(items) < 2:
-        yield from map(fn, items)
-        return
-    jobs = [pool.submit(fn, x) for x in items]
-    ahead = 0  # the next item this thread may take
-    try:
-        for i in range(len(jobs)):
-            ahead = max(ahead, i)
-            while not jobs[i].done() and ahead < len(jobs):
-                if jobs[ahead].cancel():  # no pool thread has started it
-                    jobs[ahead] = _run_here(fn, items[ahead])
-                ahead += 1
-            job, jobs[i] = jobs[i], None  # keep no result once it is read
-            yield job.result()
-    finally:
-        for job in jobs[ahead:]:
-            if job is not None:
-                job.cancel()
-
-
-def _run_here(fn, x):
-    """A finished Future of fn(x), run on this thread."""
-    job = Future()
-    try:
-        job.set_result(fn(x))
-    except Exception as err:
-        job.set_exception(err)
-    return job
-
-
 def run_round(cfg, split, state, test, net, map=map):
     """Advance `state` by one round and append its RoundRecord. `map` runs the
     Fisher's chunks, the clients and the evaluation's batches, as `evaluate`'s."""
@@ -296,20 +251,25 @@ def run_round(cfg, split, state, test, net, map=map):
 def run_experiment(cfg, split, state, test, net, on_round=None):
     """Advance `state`, from `prepare` or a copy of one between rounds, to round
     `cfg.rounds`, calling `on_round` with it after each round; returns its records.
-    The run's pool is shut down and the BLAS thread count restored before this
-    returns or raises."""
+
+    Each phase's jobs run on the run's pool through `Executor.map`, one pool
+    thread per usable CPU and at most one per selected client, while the calling
+    thread only collects their results. The pool is shut down and the BLAS
+    thread count restored before this returns or raises. Each pool thread grows
+    a glibc malloc arena of its own unless the process caps them, as `fedte run`
+    does (`cli._pin_malloc`); a library call of this function is not capped.
+    """
     get_blas, set_blas = _openblas() or (None, None)
     # one thread without it: concurrent multithreaded BLAS calls oversubscribe the CPUs
     threads = (min(len(os.sched_getaffinity(0)), _selection_size(cfg.clients, cfg.ratio))
                if set_blas else 1)
-    pool = (ThreadPoolExecutor(threads - 1, thread_name_prefix="fedte-pool")
-            if threads > 1 else None)
+    pool = ThreadPoolExecutor(threads, thread_name_prefix="fedte-pool") if threads > 1 else None
     if pool is not None:  # one BLAS thread per call while the pool runs
         blas_threads = get_blas()
         set_blas(1)
     try:
         while len(state.records) < cfg.rounds:
-            run_round(cfg, split, state, test, net, map=functools.partial(_map_in_order, pool))
+            run_round(cfg, split, state, test, net, map=pool.map if pool else map)
             if on_round is not None:
                 on_round(state)
         return state.records

@@ -802,7 +802,7 @@ def test_flag_beats_config_for_every_type(tmp_path):
         "rounds"] == 5
 
 
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's malloc.h
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8  # glibc's malloc.h
 
 
 class FakeLibc:
@@ -851,6 +851,7 @@ def test_run_pins_malloc_thresholds_before_loading_data(data_dir, tmp_path, monk
     assert calls == [("load", "libc.so.6"),
                      ("mallopt", M_MMAP_THRESHOLD, 32 << 20),
                      ("mallopt", M_TRIM_THRESHOLD, 64 << 20),
+                     ("mallopt", M_ARENA_MAX, 1),
                      ("load_dataset",),
                      # run_experiment's OpenBLAS lookup, which finds no symbol in FakeLibc
                      *[("load", path) for path in mapped_openblas()]]

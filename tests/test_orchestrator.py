@@ -1,11 +1,11 @@
+import collections
 import copy
-import functools
 import os
 import sys
 import threading
 import tracemalloc
 import weakref
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +28,6 @@ from fedte.orchestrator import (
     _SEED_FISHER,
     _SEED_PROXY,
     FedConfig,
-    _map_in_order,
     _openblas,
     RoundRecord,
     Split,
@@ -292,6 +291,32 @@ def use_cpus(monkeypatch, cpus):
                             raising=False)
 
 
+def clients_meet(monkeypatch, width):
+    """Make the first `width` clients of each round wait for each other before
+    they train; returns the names of the threads the clients train on.
+
+    ThreadPoolExecutor starts a thread only for a job that finds none idle, so
+    on one CPU a short client may end before the next is sent, and the pool
+    grows in a later round. Clients that meet grow it to `width` threads in
+    the first round of every run, and show that they train concurrently.
+    """
+    lock, trained_on = threading.Lock(), []
+    arrived, met = collections.Counter(), collections.defaultdict(threading.Event)
+
+    def meeting_local_train(*args, round_idx, **kwargs):
+        with lock:
+            trained_on.append(threading.current_thread().name)
+            arrived[round_idx] += 1
+            if arrived[round_idx] >= width:
+                met[round_idx].set()
+            all_met = met[round_idx]
+        assert all_met.wait(10)
+        return local_train(*args, round_idx=round_idx, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "local_train", meeting_local_train)
+    return trained_on
+
+
 def sequential_run(cfg, train, test, net):
     """A -TE run as one plain loop of local_train and aggregate per round."""
     split, state = prepare(cfg, train, net)
@@ -412,13 +437,14 @@ def test_no_client_thread_outlives_run_experiment(monkeypatch):
     for kind, phases in POOLED_PHASES.items():
         net = Network(tiny_spec())
         cfg = three_client_cfg(kind, batch=16, rounds=2, **phases)
+        clients_meet(monkeypatch, 2)
         alive = []
 
         def on_round(state):
             alive.append(len(set(threading.enumerate()) - before))
 
         run_experiment(cfg, *prepare(cfg, train, net), test, net, on_round=on_round)
-        assert alive == [1, 1]  # one pool thread next to this one, for the whole run
+        assert alive == [2, 2]  # two pool threads next to this one, for the whole run
         assert set(threading.enumerate()) == before
 
         split, state, _, _ = poisoned_state(cfg, train, net)
@@ -448,9 +474,9 @@ def test_no_client_thread_outlives_run_experiment(monkeypatch):
     assert set(threading.enumerate()) == before
 
 
-def pool_threads(monkeypatch, kind="fedprox-te"):
+def pool_threads(monkeypatch, kind="fedprox-te", meet=3):
     """Threads beside this one after each round of a 2-round run of 3 selected
-    clients on 8 usable CPUs."""
+    clients on 8 usable CPUs, the first `meet` of each round training at once."""
     use_cpus(monkeypatch, 8)
     train, test = synth_dataset(600, 18), synth_dataset(300, 19)
     net = Network(tiny_spec())
@@ -461,9 +487,13 @@ def pool_threads(monkeypatch, kind="fedprox-te"):
     def on_round(state):
         alive.append(set(threading.enumerate()) - before)
 
+    trained_on = clients_meet(monkeypatch, meet)
     run_experiment(cfg, *prepare(cfg, train, net), test, net, on_round=on_round)
     assert alive[0] == alive[1]  # the same threads serve every round
     assert all(t.name.startswith("fedte-pool") for t in alive[0])
+    # with a pool, every client trains on it, and without one, on this thread
+    assert len(trained_on) == 6
+    assert all(name.startswith("fedte-pool") == bool(alive[0]) for name in trained_on)
     return len(alive[0])
 
 
@@ -480,27 +510,27 @@ def pool_threads(monkeypatch, kind="fedprox-te"):
         "goto-over-omp"])
 def test_clients_train_concurrently_when_blas_runs_one_thread(monkeypatch, blas_env):
     # run_experiment sets OpenBLAS to one thread itself, so the pool's width
-    # depends on no BLAS variable: this thread and two pool threads train the
-    # 3 selected clients
+    # depends on no BLAS variable: three pool threads train the 3 selected
+    # clients, while this thread only collects their models
     for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(name, raising=False)
     for name, value in blas_env.items():
         monkeypatch.setenv(name, value)
-    assert pool_threads(monkeypatch) == 2
+    assert pool_threads(monkeypatch) == 3
 
 
 def test_clients_train_one_at_a_time_without_openblas(monkeypatch):
     # threads that each start multithreaded BLAS calls oversubscribe the
     # CPUs, so a BLAS whose thread count cannot be set gets no pool
     monkeypatch.setattr(orchestrator, "_openblas", lambda: None)
-    assert pool_threads(monkeypatch) == 0
+    assert pool_threads(monkeypatch, meet=1) == 0
 
 
 @needs_openblas
 def test_pool_thread_count_does_not_depend_on_the_first_phase(monkeypatch):
     # fedcl-te's first pool jobs are Fisher chunks, each far shorter than a
     # client: still one thread per submitted job up to the pool's width
-    assert pool_threads(monkeypatch, "fedcl-te") == 2
+    assert pool_threads(monkeypatch, "fedcl-te") == 3
 
 
 @pytest.mark.parametrize("pool", [pytest.param(True, marks=needs_openblas), False],
@@ -512,6 +542,7 @@ def test_run_continued_from_a_copy_of_its_state_is_the_uninterrupted_run(monkeyp
     # copy of the state, give the bits of 6 rounds in one run
     if pool:
         use_cpus(monkeypatch, 2)
+        clients_meet(monkeypatch, 2)
     else:
         monkeypatch.setattr(orchestrator, "_openblas", lambda: None)
     train, test = synth_dataset(600, 24), synth_dataset(300, 25)
@@ -529,7 +560,7 @@ def test_run_continued_from_a_copy_of_its_state_is_the_uninterrupted_run(monkeyp
     whole_split, whole = prepare(cfg, train, net)
     run_experiment(cfg, whole_split, whole, test, net)
 
-    assert alive == [int(pool)] * 6  # one pool thread, or none
+    assert alive == [2 if pool else 0] * 6  # two pool threads, or none
     assert [r.round for r in first.records] == [1, 2, 3]  # the copy left it as it was
     assert continued.records == whole.records
     for name in ("global_params", "target"):
@@ -547,8 +578,8 @@ def test_run_round_leaves_the_previous_model_and_target_unchanged(kind, pool):
     net = Network(tiny_spec())
     cfg = three_client_cfg(kind, **POOLED_PHASES.get(kind, {}))
     split, state = prepare(cfg, train, net)
-    with ThreadPoolExecutor(1) as executor:
-        round_map = functools.partial(_map_in_order, executor if pool else None)
+    with ThreadPoolExecutor(2) as executor:
+        round_map = executor.map if pool else map
         for _ in range(3):
             previous = (state.global_params, state.target)
             saved = [p.tobytes() for p in previous]
@@ -672,8 +703,10 @@ def test_blas_canary_dense2_independent_of_threads():
 
 
 # -- the ordered map -----------------------------------------------------------
+# run_experiment passes `ThreadPoolExecutor.map` as the round's map: these check
+# what fedte relies on, as the canary above checks BLAS
 
-def test_map_in_order_returns_results_in_item_order():
+def test_executor_map_returns_results_in_item_order():
     def fn(x):
         return x, float(np.full(500, x, np.float64).sum())
 
@@ -681,100 +714,42 @@ def test_map_in_order_returns_results_in_item_order():
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(3) as pool:
-            got = list(_map_in_order(pool, fn, range(300)))
+            got = list(pool.map(fn, range(300)))
     finally:
         sys.setswitchinterval(switch)
     assert got == [fn(x) for x in range(300)]
 
 
-def test_map_in_order_runs_items_here_while_the_pool_runs_others():
-    # item 0 waits for item 1: with the pool's one thread busy on either,
-    # only this thread can run the other
-    ran_on = {}
-    item_1_done = threading.Event()
+def test_executor_map_raises_the_first_error_in_item_order():
+    # item 1 fails first, then item 0 on the other pool thread: item 0 comes
+    # first, so its error is raised, and DivergenceError names the first client
+    item_1_failed = threading.Event()
 
     def fn(x):
-        ran_on[x] = threading.current_thread()
         if x == 0:
-            assert item_1_done.wait(10)
-        else:
-            item_1_done.set()
-        return x
-
-    with ThreadPoolExecutor(1) as pool:
-        assert list(_map_in_order(pool, fn, [0, 1])) == [0, 1]
-    assert threading.current_thread() in ran_on.values()
-    assert ran_on[0] is not ran_on[1]
-
-
-def test_map_in_order_raises_the_first_error_in_item_order():
-    # item 0 fails on the pool's one thread after item 1 failed on this one;
-    # item 0 yields first, so its error is raised
-    ran_on = {}
-    item_0_started, item_1_done = threading.Event(), threading.Event()
-
-    def fn(x):
-        ran_on[x] = threading.current_thread()
-        if x == 0:
-            item_0_started.set()
-            item_1_done.wait(10)
+            assert item_1_failed.wait(10)
             raise ValueError("item 0")
-        item_1_done.set()
-        raise KeyError("item 1")
+        try:
+            raise KeyError("item 1")
+        finally:
+            item_1_failed.set()
 
-    with ThreadPoolExecutor(1) as pool:
-        submit = pool.submit
-
-        def submit_and_start(f, x):  # the pool starts item 0 before item 1 is sent
-            job = submit(f, x)
-            if x == 0:
-                assert item_0_started.wait(10)
-            return job
-
-        pool.submit = submit_and_start
-        results = _map_in_order(pool, fn, [0, 1])
-        with pytest.raises(ValueError, match="item 0"):
-            next(results)
-    assert ran_on[0] is not threading.current_thread()
-    assert ran_on[1] is threading.current_thread()
-
-
-class IdlePool:
-    """A pool that starts no job: this thread runs every item."""
-
-    def submit(self, fn, *args):
-        return Future()
-
-
-def test_map_in_order_keeps_no_result_once_read():
-    # a Fisher chunk's result is a model-sized float64 vector: the map must
-    # not hold every chunk's until the last is read
-    read = []
-    for result in _map_in_order(IdlePool(), np.ones, range(1, 6)):
-        assert all(ref() is None for ref in read)
-        read.append(weakref.ref(result))
-        del result
-    assert len(read) == 5
-
-
-def test_map_in_order_without_pool_or_with_one_item_runs_here_in_order():
-    calls = []
-
-    def fn(x):
-        calls.append((x, threading.current_thread()))
-        if x == "fail":
-            raise Stop
-        return x
-
-    here = threading.current_thread()
-    before = set(threading.enumerate())
-    assert list(_map_in_order(None, fn, [3, 1, 2])) == [3, 1, 2]
-    with pytest.raises(Stop):
-        list(_map_in_order(None, fn, [4, "fail", 5]))
     with ThreadPoolExecutor(2) as pool:
-        assert list(_map_in_order(pool, fn, [6])) == [6]
-        assert set(threading.enumerate()) == before  # the pool started no thread
-    assert calls == [(x, here) for x in (3, 1, 2, 4, "fail", 6)]
+        with pytest.raises(ValueError, match="item 0"):
+            list(pool.map(fn, [0, 1]))
+
+
+def test_executor_map_keeps_no_result_once_read():
+    # a Fisher chunk's result is a model-sized float64 vector: the map must
+    # not hold every chunk's until the last is read. One pool thread runs the
+    # items in turn, so it has dropped each item before it starts the next.
+    read = []
+    with ThreadPoolExecutor(1) as pool:
+        for result in pool.map(np.ones, range(1, 6)):
+            assert all(ref() is None for ref in read)
+            read.append(weakref.ref(result))
+            del result
+    assert len(read) == 5
 
 
 def test_pooled_evaluate_equals_sequential():
@@ -783,7 +758,7 @@ def test_pooled_evaluate_equals_sequential():
     params = net.init_params(4)
     test = synth_dataset(700, 24, shape=(1, 28, 28))
     with ThreadPoolExecutor(2) as pool:
-        pooled = evaluate(net, params, test, map=functools.partial(_map_in_order, pool))
+        pooled = evaluate(net, params, test, map=pool.map)
     assert pooled == evaluate(net, params, test)
 
 

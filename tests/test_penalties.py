@@ -1,4 +1,3 @@
-import functools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -7,7 +6,6 @@ import pytest
 
 from fedte.data import Dataset
 from fedte.nn import Batch, Dense, ModelSpec, Network, baseline_cnn
-from fedte.orchestrator import _map_in_order
 from fedte.penalties import FisherDiag, Prox, fisher_diag
 
 from conftest import GRADCHECK_SPECS, STACKED_CONV_SPECS, synth_dataset, tiny_spec
@@ -186,8 +184,7 @@ def test_fisher_on_a_pool_equals_sequential(samples):
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(2) as pool:
-            pooled = fisher_diag(net, params, ds, max_samples=samples, seed=4,
-                                 map=functools.partial(_map_in_order, pool))
+            pooled = fisher_diag(net, params, ds, max_samples=samples, seed=4, map=pool.map)
     finally:
         sys.setswitchinterval(switch)
     assert np.array_equal(pooled, fisher_diag(net, params, ds, max_samples=samples, seed=4))
